@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import (
+    DEFAULT_RESTARTS,
     CorrelationTensor,
     LocalFrame,
     inplane_norm_sq,
@@ -141,7 +142,7 @@ def rotational_test(
     t: CorrelationTensor,
     frame: LocalFrame,
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> RotationalReport:
     """Check S <= (4/pi)^N E_max for the tensor's in-plane components."""
     s_value = inplane_norm_sq(t, frame)

@@ -47,8 +47,7 @@ def cmd_thresholds(args) -> int:
 def cmd_chsh(args) -> int:
     rho, a_dirs, b_dirs = bellcheck.chsh_optimal_configuration()
     if args.state is not None:
-        loaded = qstate.load_state(args.state)
-        rho = loaded.projector() if isinstance(loaded, qstate.StateVector) else loaded
+        rho = qstate.as_density(qstate.load_state(args.state))
     if args.angles is not None:
         a1, a2, b1, b2 = args.angles
         a_dirs = np.array([bellcheck.inplane_direction(a1), bellcheck.inplane_direction(a2)])
@@ -142,8 +141,7 @@ def cmd_commrun(args) -> int:
 
 
 def cmd_septest(args) -> int:
-    state = qstate.load_state(args.state)
-    rho = state.projector() if isinstance(state, qstate.StateVector) else state
+    rho = qstate.as_density(qstate.load_state(args.state))
     if args.metric is None:
         report = septest.separability_check(rho, seed=args.seed)
         doc = {
@@ -172,8 +170,7 @@ def cmd_septest(args) -> int:
 
 
 def cmd_tensor_export(args) -> int:
-    state = qstate.load_state(args.state)
-    rho = state.projector() if isinstance(state, qstate.StateVector) else state
+    rho = qstate.as_density(qstate.load_state(args.state))
     tensor = corrtensor.compute_tensor(rho)
     buf = io.StringIO()
     corrtensor.tensor_to_csv(tensor, buf)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import compute_tensor, correlation_function
-from .qstate import StateVector, make_ghz, measurement_distribution
+from .qstate import as_density, make_ghz, measurement_distribution
 
 MAX_EXHAUSTIVE_PARTIES = 12
 
@@ -306,8 +306,7 @@ def quantum_fidelity_analytic(task: TaskSpec, state, settings) -> float:
             f"state has {state.n_qubits} qubits"
         )
     s = _check_settings(task, settings)
-    rho = state.projector() if isinstance(state, StateVector) else state
-    tensor = compute_tensor(rho)
+    tensor = compute_tensor(as_density(state))
     total = 0.0
     for x in task.support_tuples():
         dirs = s[np.arange(task.n_parties), list(x)]

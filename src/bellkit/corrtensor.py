@@ -175,29 +175,84 @@ class MaxProductResult:
     converged: bool
 
 
-def _restart_rng(seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+def _random_starts(
+    n: int, seed: int, restarts: int, frame: LocalFrame | None = None
+) -> np.ndarray:
+    """Unit start directions, shape (restarts, n, 3), restart r drawn from
+    its own (seed, r) stream; inside the frame planes when a frame is given."""
+    starts = np.empty((restarts, n, 3))
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        if frame is None:
+            vecs = rng.normal(size=(n, 3))
+        else:
+            coef = rng.normal(size=(n, 2))
+            vecs = np.einsum("ka,kaj->kj", coef, frame.axes)
+        starts[r] = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return starts
 
 
-def _contract_all_but(proper: np.ndarray, dirs: np.ndarray, k: int) -> np.ndarray:
-    """Partial contraction leaving party k free; dirs has shape (R, N, 3).
+def _contract(w: np.ndarray, vecs: np.ndarray, free: int | None = None) -> np.ndarray:
+    """Contract w with one vector per party for each row of vecs (R, N, d).
 
-    Returns the (R, 3) gradient of the multilinear objective in party k.
+    With ``free=k`` party k is left out and its index comes last, giving
+    the (R, d) gradient of the form in that party; otherwise the (R,)
+    values of the form.
     """
-    n = dirs.shape[1]
-    out = np.broadcast_to(proper, (dirs.shape[0],) + proper.shape)
-    out = np.moveaxis(out, 1 + k, -1)
-    for m in [m for m in range(n) if m != k]:
-        out = np.einsum("ri...,ri->r...", out, dirs[:, m, :])
+    out = np.broadcast_to(w, (vecs.shape[0],) + w.shape)
+    if free is not None:
+        out = np.moveaxis(out, 1 + free, -1)
+    for m in range(vecs.shape[1]):
+        if m != free:
+            out = np.einsum("ri...,ri->r...", out, vecs[:, m, :])
     return out
 
 
-def _objective(proper: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Multilinear objective for each restart row of dirs (R, N, 3)."""
-    out = np.broadcast_to(proper, (dirs.shape[0],) + proper.shape)
-    for m in range(dirs.shape[1]):
-        out = np.einsum("ri...,ri->r...", out, dirs[:, m, :])
-    return out
+def _party_vectors(w: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The vectors w is contracted with: the b_k themselves when w has
+    shape (3,)*N, the (1, b_k) when it has shape (4,)*N."""
+    if w.shape[0] == 3:
+        return dirs
+    u = np.empty(dirs.shape[:2] + (4,))
+    u[:, :, 0] = 1.0
+    u[:, :, 1:] = dirs
+    return u
+
+
+def _ascend(
+    w: np.ndarray, starts: np.ndarray, frame: LocalFrame | None = None
+) -> MaxProductResult:
+    """Alternating ascent of a multilinear form over unit directions b_k.
+
+    ``w`` has shape (3,)*N, contracted with the b_k themselves, or (4,)*N,
+    contracted with (1, b_k).  The form is linear in each b_k, so the best
+    b_k given the others is the normalized gradient (projected into the
+    party's plane when a frame is given): every step is exact and monotone.
+    ``starts`` (R, N, 3) is updated in place; the best row is returned.
+    """
+    dirs = starts
+    values = _contract(w, _party_vectors(w, dirs))
+    for _ in range(DEFAULT_MAX_SWEEPS):
+        for k in range(dirs.shape[1]):
+            # the constant component of (1, b_k) does not move
+            grad = _contract(w, _party_vectors(w, dirs), free=k)[:, -3:]
+            if frame is not None:
+                coef = np.einsum("ri,ai->ra", grad, frame.axes[k])
+                grad = np.einsum("ra,ai->ri", coef, frame.axes[k])
+            norms = np.linalg.norm(grad, axis=1)
+            ok = norms > 1e-300
+            dirs[ok, k, :] = grad[ok] / norms[ok, None]
+        new_values = _contract(w, _party_vectors(w, dirs))
+        converged = np.abs(new_values - values) < DEFAULT_TOL
+        values = new_values
+        if converged.all():
+            break
+    best = int(np.argmax(values))
+    return MaxProductResult(
+        value=float(values[best]),
+        directions=dirs[best].copy(),
+        converged=bool(converged[best]),
+    )
 
 
 def max_product_value(
@@ -205,8 +260,6 @@ def max_product_value(
     frame: LocalFrame | None = None,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> MaxProductResult:
     """Maximize the correlation function over unit product directions.
 
@@ -223,52 +276,18 @@ def max_product_value(
     """
     n = t.n_qubits
     proper = t.proper
-    if frame is not None:
+    if frame is None:
+        best_idx = np.unravel_index(np.argmax(np.abs(proper)), proper.shape)
+        axis_start = np.eye(3)[list(best_idx)]
+    else:
         if frame.n_axes != 2:
             raise ValueError("plane restriction needs a frame with 2 axes per party")
         _check_party_count(t, frame.n_parties, "frame")
-
-    # random starts, one per restart, plus one deterministic axis start
-    starts = np.empty((restarts + 1, n, 3))
-    for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        if frame is None:
-            vecs = rng.normal(size=(n, 3))
-        else:
-            coef = rng.normal(size=(n, 2))
-            vecs = np.einsum("ka,kaj->kj", coef, frame.axes)
-        starts[r] = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    if frame is None:
-        best_idx = np.unravel_index(np.argmax(np.abs(proper)), proper.shape)
-        starts[restarts] = np.eye(3)[list(best_idx)]
-    else:
         comps = frame_components(t, frame)
         best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
-        starts[restarts] = frame.axes[np.arange(n), list(best_idx)]
-
-    dirs = starts
-    values = _objective(proper, dirs)
-    converged = np.zeros(len(dirs), dtype=bool)
-    for _ in range(max_sweeps):
-        for k in range(n):
-            grad = _contract_all_but(proper, dirs, k)
-            if frame is not None:
-                coef = np.einsum("ri,ai->ra", grad, frame.axes[k])
-                grad = np.einsum("ra,ai->ri", coef, frame.axes[k])
-            norms = np.linalg.norm(grad, axis=1)
-            ok = norms > 1e-300
-            dirs[ok, k, :] = grad[ok] / norms[ok, None]
-        new_values = _objective(proper, dirs)
-        converged = np.abs(new_values - values) < tol
-        values = new_values
-        if converged.all():
-            break
-    best = int(np.argmax(values))
-    return MaxProductResult(
-        value=float(values[best]),
-        directions=dirs[best].copy(),
-        converged=bool(converged[best]),
-    )
+        axis_start = frame.axes[np.arange(n), list(best_idx)]
+    starts = np.concatenate([_random_starts(n, seed, restarts, frame), axis_start[None]])
+    return _ascend(proper, starts, frame)
 
 
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:

@@ -100,6 +100,12 @@ class DensityMatrix:
         return 2**self.n_qubits
 
 
+def as_density(state) -> DensityMatrix:
+    """The density matrix of a state: the projector of a StateVector, a
+    DensityMatrix unchanged."""
+    return state.projector() if isinstance(state, StateVector) else state
+
+
 def make_ghz(n: int, max_qubits: int = MAX_QUBITS) -> StateVector:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits, 2 <= n <= max_qubits."""
     if not 2 <= n <= max_qubits:
@@ -291,6 +297,8 @@ def state_from_json(obj):
     n = obj["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n_qubits' must be an integer")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"field 'n_qubits' must be in [1, {MAX_QUBITS}], got {n}")
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError("field 'kind' must be 'pure' or 'mixed'")

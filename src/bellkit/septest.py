@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrtensor import (
-    DEFAULT_MAX_SWEEPS,
     DEFAULT_RESTARTS,
-    DEFAULT_TOL,
     CorrelationTensor,
+    _ascend,
+    _random_starts,
     compute_tensor,
     max_product_value,
     tensor_dot,
-    _restart_rng,
 )
 from .qstate import DensityMatrix, bloch_qubit
 
@@ -163,61 +162,6 @@ class IdentifierReport:
     converged: bool
 
 
-def _product_ascent(
-    w: np.ndarray,
-    seed: int,
-    restarts: int,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-):
-    """Maximize <u_1 x ... x u_N, w> over u_k = (1, b_k) with |b_k| = 1.
-
-    w has shape (4,)*N.  The objective is linear in each Bloch vector,
-    so the per-party update (normalized gradient) is exact and monotone.
-    Returns (value, converged) for the best restart.
-    """
-    n = w.ndim
-    blochs = np.empty((restarts, n, 3))
-    for r in range(restarts):
-        rng = _restart_rng(seed, r)
-        v = rng.normal(size=(n, 3))
-        blochs[r] = v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    def u_vectors(b):
-        u = np.empty((b.shape[0], n, 4))
-        u[:, :, 0] = 1.0
-        u[:, :, 1:] = b
-        return u
-
-    def objective(b):
-        out = np.broadcast_to(w, (b.shape[0],) + w.shape)
-        u = u_vectors(b)
-        for m in range(n):
-            out = np.einsum("ri...,ri->r...", out, u[:, m, :])
-        return out
-
-    values = objective(blochs)
-    converged = np.zeros(restarts, dtype=bool)
-    for _ in range(max_sweeps):
-        for k in range(n):
-            u = u_vectors(blochs)
-            out = np.broadcast_to(w, (restarts,) + w.shape)
-            out = np.moveaxis(out, 1 + k, -1)
-            for m in [m for m in range(n) if m != k]:
-                out = np.einsum("ri...,ri->r...", out, u[:, m, :])
-            grad = out[:, 1:]  # the constant u_k0 = 1 part does not move
-            norms = np.linalg.norm(grad, axis=1)
-            ok = norms > 1e-300
-            blochs[ok, k, :] = grad[ok] / norms[ok, None]
-        new_values = objective(blochs)
-        converged = np.abs(new_values - values) < tol
-        values = new_values
-        if converged.all():
-            break
-    best = int(np.argmax(values))
-    return float(values[best]), bool(converged[best])
-
-
 def identifier_check(
     rho_ent: DensityMatrix,
     metric: MetricOperator,
@@ -237,10 +181,11 @@ def identifier_check(
     t = compute_tensor(rho_ent)
     rhs = metric.quadratic(t, t)
     w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
-    hi, conv_hi = _product_ascent(w, seed, restarts)
-    lo, conv_lo = _product_ascent(-w, seed, restarts)
-    lhs_max = max(hi, lo)
-    converged = conv_hi and conv_lo
+    starts = _random_starts(t.n_qubits, seed, restarts)
+    hi = _ascend(w, starts.copy())
+    lo = _ascend(-w, starts)
+    lhs_max = max(hi.value, lo.value)
+    converged = hi.converged and lo.converged
     return IdentifierReport(
         rhs=float(rhs),
         lhs_max=float(lhs_max),

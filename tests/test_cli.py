@@ -208,6 +208,17 @@ class TestSeptest:
         assert code == 2
         assert "data[3]" in err
 
+    @pytest.mark.parametrize("n", [-1, 0, 11, 10**9])
+    def test_n_qubits_out_of_range_exits_2(self, tmp_path, capsys, n):
+        path = tmp_path / "state.json"
+        doc = qs.state_to_json(qs.make_ghz(2))
+        doc["n_qubits"] = n
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "septest", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'n_qubits'" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "septest", "--state", "/nonexistent/state.json")
         assert code == 2

@@ -277,6 +277,13 @@ class TestStateJson:
         with pytest.raises(ValueError, match=r"data\[3\]"):
             qs.state_from_json(doc)
 
+    @pytest.mark.parametrize("n", [-1, 0, 11, 10**9])
+    def test_n_qubits_out_of_range(self, n):
+        doc = qs.state_to_json(qs.make_ghz(2))
+        doc["n_qubits"] = n
+        with pytest.raises(ValueError, match=r"'n_qubits' must be in \[1, 10\]"):
+            qs.state_from_json(doc)
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="kind"):
             qs.state_from_json({"n_qubits": 1, "data": [[1.0, 0.0], [0.0, 0.0]]})

@@ -6,7 +6,7 @@ import pytest
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from bellkit import septest as st
-from oracles import ppt_min_eigenvalue
+from oracles import ppt_min_eigenvalue, random_density
 
 
 def bisect_flag(flag_at, lo, hi, steps=40):
@@ -191,6 +191,75 @@ class TestMetricOperators:
             st.metric_from_json({"weights": [1.0]}, 1)
         with pytest.raises(ValueError, match="weights"):
             st.metric_from_json({"kind": "diagonal"}, 1)
+
+
+def reference_product_ascent(w, seed, restarts, tol=1e-12, max_sweeps=500):
+    """The identifier's former private ascent, kept verbatim as the
+    reference: maximize <u_1 x ... x u_N, w> over u_k = (1, b_k), |b_k| = 1.
+
+    Returns (value, converged) for the best restart.
+    """
+    n = w.ndim
+    blochs = np.empty((restarts, n, 3))
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        v = rng.normal(size=(n, 3))
+        blochs[r] = v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def u_vectors(b):
+        u = np.empty((b.shape[0], n, 4))
+        u[:, :, 0] = 1.0
+        u[:, :, 1:] = b
+        return u
+
+    def objective(b):
+        out = np.broadcast_to(w, (b.shape[0],) + w.shape)
+        u = u_vectors(b)
+        for m in range(n):
+            out = np.einsum("ri...,ri->r...", out, u[:, m, :])
+        return out
+
+    values = objective(blochs)
+    converged = np.zeros(restarts, dtype=bool)
+    for _ in range(max_sweeps):
+        for k in range(n):
+            u = u_vectors(blochs)
+            out = np.broadcast_to(w, (restarts,) + w.shape)
+            out = np.moveaxis(out, 1 + k, -1)
+            for m in [m for m in range(n) if m != k]:
+                out = np.einsum("ri...,ri->r...", out, u[:, m, :])
+            grad = out[:, 1:]
+            norms = np.linalg.norm(grad, axis=1)
+            ok = norms > 1e-300
+            blochs[ok, k, :] = grad[ok] / norms[ok, None]
+        new_values = objective(blochs)
+        converged = np.abs(new_values - values) < tol
+        values = new_values
+        if converged.all():
+            break
+    best = int(np.argmax(values))
+    return float(values[best]), bool(converged[best])
+
+
+class TestIdentifierMatchesReferenceAscent:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["identity_proper", "rank_one"])
+    def test_bit_identical(self, n, kind):
+        rng = np.random.default_rng(900 + n)
+        for trial in range(4):
+            rho = random_density(n, rng)
+            t = ct.compute_tensor(rho)
+            if kind == "identity_proper":
+                metric = st.identity_proper_metric(n)
+            else:
+                metric = st.rank_one_metric(ct.compute_tensor(random_density(n, rng)))
+            seed, restarts = 10 * n + trial, 4 + 3 * trial
+            rep = st.identifier_check(rho, metric, seed=seed, restarts=restarts)
+            w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
+            hi, conv_hi = reference_product_ascent(w, seed, restarts)
+            lo, conv_lo = reference_product_ascent(-w, seed, restarts)
+            assert rep.lhs_max == max(hi, lo)
+            assert rep.converged == (conv_hi and conv_lo)
 
 
 class TestSoundnessSample:
