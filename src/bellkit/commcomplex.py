@@ -145,13 +145,15 @@ def reduced_fidelity(task: TaskSpec, strategy: ClassicalStrategy) -> float:
             f"party count mismatch: task has {task.n_parties}, "
             f"strategy has {strategy.n_parties}"
         )
-    total = 0.0
-    for x in task.support_tuples():
-        prod = 1
-        for k, bit in enumerate(x):
-            prod *= int(strategy.signs[k, bit])
-        total += task.g[x] * prod
-    return float(total)
+    return _signed_sum(task.g, strategy.signs)
+
+
+def _signed_sum(g: np.ndarray, signs: np.ndarray) -> float:
+    """Contract g with one sign function c_n = signs[n] per axis."""
+    value = g
+    for c in signs:
+        value = np.tensordot(value, c.astype(float), axes=([0], [0]))
+    return float(value)
 
 
 # Rows are the four sign functions on one bit, ordered by their 2-bit code:
@@ -220,10 +222,7 @@ def _ascend_signs(g: np.ndarray, signs: np.ndarray) -> tuple:
                 improved = True
         if not improved:
             break
-    value = g
-    for k in range(n):
-        value = np.tensordot(value, signs[k].astype(float), axes=([0], [0]))
-    return float(value), signs
+    return _signed_sum(g, signs), signs
 
 
 def classical_optimum_ascent(
@@ -322,21 +321,6 @@ class ProtocolResult:
     stderr: float
 
 
-@dataclass(frozen=True)
-class ProtocolDetail:
-    """Per-trial record of one simulated run."""
-
-    x_bits: np.ndarray  # (trials, N)
-    z_bits: np.ndarray  # (trials, N)
-    outcomes: np.ndarray  # (trials, N) +-1 measurement results (entangled) or
-    #                       (trials,) final-qubit results (sequential)
-    messages: np.ndarray  # (trials, N-1) one classical bit per sender, or
-    #                       empty (trials, 0) when nothing classical is sent
-    qubit_hops: int  # per-trial quantum transmissions
-    answers: np.ndarray  # (trials,)
-    targets: np.ndarray  # (trials,)
-
-
 def _make_result(scores: np.ndarray) -> ProtocolResult:
     trials = scores.size
     fidelity = float(scores.mean())
@@ -349,14 +333,28 @@ def _make_result(scores: np.ndarray) -> ProtocolResult:
     )
 
 
+def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
+    """Draw x from the promise, then z uniformly, on one default_rng(seed).
+
+    Returns the support tuples, the drawn support indices, the z bits, the
+    targets T = f(x) (-1)^(z_1+..+z_N), and the generator, so the caller
+    continues the same stream.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    support = task.support_tuples()
+    weights = np.array([task.p_prime[x] for x in support])
+    rng = np.random.default_rng(seed)
+    x_idx = rng.choice(len(support), size=trials, p=weights)
+    z_bits = rng.integers(0, 2, size=(trials, task.n_parties))
+    f_vals = np.array([task.f[x] for x in support])[x_idx]
+    targets = f_vals * (1 - 2 * (z_bits.sum(axis=1) % 2))
+    return support, x_idx, z_bits, targets, rng
+
+
 def run_entangled_protocol(
-    task: TaskSpec,
-    state,
-    settings,
-    trials: int,
-    seed: int,
-    return_detail: bool = False,
-):
+    task: TaskSpec, state, settings, trials: int, seed: int
+) -> ProtocolResult:
     """Monte Carlo run of the shared-state protocol.
 
     Every trial: draw x from the promise and z uniformly, sample the joint
@@ -364,8 +362,6 @@ def run_entangled_protocol(
     each send the single bit m_k = y_k gamma_k, and let the last partner
     announce A = y_N gamma_N prod m_k.  The score of a trial is T * A.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if state.n_qubits != task.n_parties:
         raise ValueError(
             f"party count mismatch: task has {task.n_parties}, "
@@ -373,12 +369,7 @@ def run_entangled_protocol(
         )
     s = _check_settings(task, settings)
     n = task.n_parties
-    support = task.support_tuples()
-    weights = np.array([task.p_prime[x] for x in support])
-
-    rng = np.random.default_rng(seed)
-    x_idx = rng.choice(len(support), size=trials, p=weights)
-    z_bits = rng.integers(0, 2, size=(trials, n))
+    support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
 
     # joint Born distribution is fixed per support tuple; sample per group
     outcome_idx = np.empty(trials, dtype=int)
@@ -398,25 +389,7 @@ def run_entangled_protocol(
     messages = y[:, : n - 1] * gamma[:, : n - 1]
     assert messages.shape == (trials, n - 1)
     answers = y[:, n - 1] * gamma[:, n - 1] * np.prod(messages, axis=1)
-
-    x_bits = np.array([support[i] for i in x_idx])
-    f_vals = np.array([task.f[x] for x in support])[x_idx]
-    targets = f_vals * np.prod(y, axis=1)
-    scores = (targets * answers).astype(float)
-
-    result = _make_result(scores)
-    if not return_detail:
-        return result
-    detail = ProtocolDetail(
-        x_bits=x_bits,
-        z_bits=z_bits,
-        outcomes=gamma,
-        messages=messages,
-        qubit_hops=0,
-        answers=answers,
-        targets=targets,
-    )
-    return result, detail
+    return _make_result((targets * answers).astype(float))
 
 
 def _require_mod4(task: TaskSpec) -> None:
@@ -451,9 +424,7 @@ def sequential_answer(x_bits, z_bits) -> int:
     return 1 if cos > 0 else -1
 
 
-def run_sequential_protocol(
-    task: TaskSpec, trials: int, seed: int, return_detail: bool = False
-):
+def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolResult:
     """Entanglement-free protocol: one qubit hops through all partners.
 
     The qubit starts in (|0> + |1>)/sqrt(2); partner k applies the phase
@@ -465,40 +436,15 @@ def run_sequential_protocol(
     The gate set is one minimal choice with this property; any per-party
     unitary producing the same relative phase works equally well.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     _require_mod4(task)
-    n = task.n_parties
-    support = task.support_tuples()
-    weights = np.array([task.p_prime[x] for x in support])
-
-    rng = np.random.default_rng(seed)
-    x_idx = rng.choice(len(support), size=trials, p=weights)
-    x_bits = np.array([support[i] for i in x_idx])
-    z_bits = rng.integers(0, 2, size=(trials, n))
+    support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
+    x_bits = np.array(support)[x_idx]
 
     phases = np.pi * z_bits + (np.pi / 2) * x_bits
     amp1 = np.exp(1j * phases.sum(axis=1))  # amplitude of |1> after all hops
     p_plus = np.clip((1.0 + amp1.real) / 2.0, 0.0, 1.0)
     answers = np.where(rng.random(trials) < p_plus, 1, -1)
-
-    f_vals = np.array([task.f[x] for x in support])[x_idx]
-    targets = f_vals * (1 - 2 * (z_bits.sum(axis=1) % 2))
-    scores = (targets * answers).astype(float)
-
-    result = _make_result(scores)
-    if not return_detail:
-        return result
-    detail = ProtocolDetail(
-        x_bits=x_bits,
-        z_bits=z_bits,
-        outcomes=answers,
-        messages=np.empty((trials, 0), dtype=int),
-        qubit_hops=n - 1,
-        answers=answers,
-        targets=targets,
-    )
-    return result, detail
+    return _make_result((targets * answers).astype(float))
 
 
 def chsh_game_equality_frequencies(
@@ -508,7 +454,11 @@ def chsh_game_equality_frequencies(
     frequency of equal answers, to be compared with chsh_game_target."""
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be >= 1, got {trials_per_pair}")
-    s = chsh_game_settings() if settings is None else np.asarray(settings, dtype=float)
+    s = (
+        chsh_game_settings()
+        if settings is None
+        else _check_settings(make_chsh_game(), settings)
+    )
     state = make_ghz(2)
     rng = np.random.default_rng(seed)
     freq = np.empty((2, 2))

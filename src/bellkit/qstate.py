@@ -53,7 +53,8 @@ class StateVector:
                 f"amplitude vector must have length {2**n}, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        # tolerance tests are written fail-closed so that NaN is rejected
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
@@ -83,13 +84,13 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")
         herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_err > 1e-12:
+        if not herm_err <= 1e-12:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_err:g}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace must be 1, got {tr!r}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -1e-10:
+        if not min_eig >= -1e-10:
             raise ValueError(f"matrix not positive: min eigenvalue = {min_eig:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
@@ -141,23 +142,34 @@ def make_werner(v: float) -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def bloch_qubit(bloch) -> np.ndarray:
-    """Single-qubit density matrix (I + b . sigma) / 2 for a Bloch vector b."""
+def _check_bloch(bloch) -> np.ndarray:
     b = np.asarray(bloch, dtype=float).reshape(3)
     norm = float(np.linalg.norm(b))
-    if norm > 1.0 + 1e-12:
+    if not norm <= 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm must be <= 1, got {norm!r}")
-    return 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
+    return b
+
+
+def bloch_qubit(bloch) -> np.ndarray:
+    """Single-qubit density matrix (I + b . sigma) / 2 for a Bloch vector b."""
+    return product_matrix([_check_bloch(bloch)])
+
+
+def product_matrix(blochs) -> np.ndarray:
+    """Kronecker product of (I + b . sigma) / 2 over the Bloch vectors b,
+    qubit 1 first.  The norms |b| <= 1 are not checked."""
+    mat = np.array([[1.0 + 0j]])
+    for b in np.asarray(blochs, dtype=float).reshape(-1, 3):
+        qubit = 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
+        mat = np.kron(mat, qubit)
+    return mat
 
 
 def make_product(blochs) -> DensityMatrix:
     """Tensor product of single-qubit states given by their Bloch vectors."""
     if len(blochs) == 0:
         raise ValueError("need at least one Bloch vector")
-    mat = np.array([[1.0 + 0j]])
-    for b in blochs:
-        mat = np.kron(mat, bloch_qubit(b))
-    return DensityMatrix(len(blochs), mat)
+    return DensityMatrix(len(blochs), product_matrix([_check_bloch(b) for b in blochs]))
 
 
 def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
@@ -171,27 +183,23 @@ def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
     return idx
 
 
-def pauli_operator(indices) -> np.ndarray:
-    """Dense 2^N x 2^N operator sigma_{j1} x ... x sigma_{jN}."""
-    op = np.array([[1.0 + 0j]])
-    for j in indices:
-        op = np.kron(op, PAULI[int(j)])
-    return op
-
-
 def pauli_expectation(rho: DensityMatrix, indices) -> float:
-    """Tr(rho sigma_{j1} x ... x sigma_{jN}); always real for valid inputs."""
+    """Tr(rho sigma_{j1} x ... x sigma_{jN}); always real for valid inputs.
+
+    Traces out one qubit at a time on the reshaped matrix, as
+    corrtensor.compute_tensor does for all index strings at once.
+    """
     idx = _check_pauli_string(indices, rho.n_qubits)
-    return pauli_expectation_matrix(rho.matrix, idx)
-
-
-def pauli_expectation_matrix(matrix: np.ndarray, indices) -> float:
-    """Same as pauli_expectation on a raw matrix, with a realness check."""
-    op = pauli_operator(indices)
-    val = complex(np.sum(matrix * op.T))
-    if abs(val.imag) > 1e-8:
+    n = rho.n_qubits
+    arr = rho.matrix.reshape((2,) * (2 * n))
+    for k, j in enumerate(idx):
+        # axes after k steps: (r_k..r_{n-1}, c_k..c_{n-1}); pair (r_k, c_k)
+        # with (col, row) of sigma_j
+        arr = np.tensordot(arr, PAULI[j], axes=([0, n - k], [1, 0]))
+    val = complex(arr)
+    if not abs(val.imag) <= 1e-8:
         raise NumericalIntegrityError(
-            f"Pauli expectation has imaginary residue {val.imag:g} for {tuple(indices)}"
+            f"Pauli expectation has imaginary residue {val.imag:g} for {idx}"
         )
     return val.real
 
@@ -308,6 +316,7 @@ def state_from_json(obj):
     expected = 2**n if kind == "pure" else 4**n
     if len(data) != expected:
         raise ValueError(f"field 'data' must have {expected} entries, got {len(data)}")
+    bad_pair = "field 'data[{}]' must be a finite [re, im] number pair"
     flat = np.empty(expected, dtype=complex)
     for i, pair in enumerate(data):
         if (
@@ -315,8 +324,14 @@ def state_from_json(obj):
             or len(pair) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
-            raise ValueError(f"field 'data[{i}]' must be a [re, im] number pair")
-        flat[i] = complex(pair[0], pair[1])
+            raise ValueError(bad_pair.format(i))
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(bad_pair.format(i)) from None
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(bad_pair.format(bad[0]))
     if kind == "pure":
         return StateVector(n, flat)
     return DensityMatrix(n, flat.reshape(2**n, 2**n))

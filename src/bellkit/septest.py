@@ -24,7 +24,7 @@ from .corrtensor import (
     max_product_value,
     tensor_dot,
 )
-from .qstate import DensityMatrix, bloch_qubit
+from .qstate import DensityMatrix, product_matrix
 
 DETECTION_TOL = 1e-7
 
@@ -90,7 +90,7 @@ class DiagonalMetric(MetricOperator):
             raise ValueError(
                 f"need {4**n_qubits} weights for {n_qubits} qubits, got {w.size}"
             )
-        if np.min(w) < -1e-10:
+        if not np.min(w) >= -1e-10:
             raise ValueError(f"metric weights must be non-negative, min = {w.min():g}")
         w.setflags(write=False)
         self.n_qubits = int(n_qubits)
@@ -109,10 +109,10 @@ class DenseMetric(MetricOperator):
         if m.shape != (dim, dim):
             raise ValueError(f"metric matrix must be {dim}x{dim}, got {m.shape}")
         sym_err = float(np.max(np.abs(m - m.T)))
-        if sym_err > 1e-12:
+        if not sym_err <= 1e-12:
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -1e-10:
+        if not min_eig >= -1e-10:
             raise ValueError(f"metric not non-negative: min eigenvalue {min_eig:g}")
         m.setflags(write=False)
         self.n_qubits = int(n_qubits)
@@ -208,10 +208,7 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
     for i in range(k_terms):
         blochs = rng.normal(size=(n, 3))
         blochs /= np.linalg.norm(blochs, axis=1, keepdims=True)
-        term = np.array([[1.0 + 0j]])
-        for b in blochs:
-            term = np.kron(term, bloch_qubit(b))
-        mat += weights[i] * term
+        mat += weights[i] * product_matrix(blochs)
     return DensityMatrix(n, mat)
 
 
@@ -235,14 +232,25 @@ def metric_from_json(obj, n_qubits: int) -> MetricOperator:
         raise ValueError("metric document must be a JSON object")
     kind = obj.get("kind")
     if kind == "diagonal":
-        if "weights" not in obj:
-            raise ValueError("missing field 'weights'")
-        return DiagonalMetric(n_qubits, obj["weights"])
+        return DiagonalMetric(n_qubits, _finite_field(obj, "weights"))
     if kind == "dense":
-        if "matrix" not in obj:
-            raise ValueError("missing field 'matrix'")
-        return DenseMetric(n_qubits, obj["matrix"])
+        return DenseMetric(n_qubits, _finite_field(obj, "matrix"))
     raise ValueError("field 'kind' must be 'diagonal' or 'dense'")
+
+
+def _finite_field(obj: dict, field: str) -> np.ndarray:
+    """The (nested) list of numbers in obj[field] as a float array."""
+    if field not in obj:
+        raise ValueError(f"missing field '{field}'")
+    # ragged nesting leaves lists among the entries; bool is not a number here
+    raw = np.asarray(obj[field], dtype=object)
+    try:
+        arr = raw.astype(float) if set(map(type, raw.flat)) <= {int, float} else None
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ValueError(f"field '{field}' must hold finite numbers only")
+    return arr
 
 
 def load_metric(path, n_qubits: int) -> MetricOperator:

@@ -223,6 +223,46 @@ class TestSeptest:
         code, _, _ = run_cli(capsys, "septest", "--state", "/nonexistent/state.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["septest", "tensor-export"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "-inf", "1e400", "400-digit-int"],
+    )
+    def test_non_finite_state_entry_exits_2(self, tmp_path, capsys, command, entry):
+        path = tmp_path / "state.json"
+        path.write_text(
+            '{"n_qubits": 2, "kind": "pure", "data": '
+            f'[[1, 0], [0, 0], [0, {entry}], [0, 0]]}}'
+        )
+        code, out, err = run_cli(capsys, command, "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert "field 'data[2]' must be a finite [re, im] number pair" in err
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            '{"kind": "diagonal", "weights": {"a": 1}}',
+            '{"kind": "diagonal", "weights": [null, 1, 1, 1]}',
+            '{"kind": "diagonal", "weights": [1, 1, 1, 1e999]}',
+            '{"kind": "dense", "matrix": [[1, 0], [0]]}',
+        ],
+        ids=["dict", "null", "1e999", "ragged"],
+    )
+    def test_malformed_metric_exits_2(self, tmp_path, capsys, metric):
+        state_path = tmp_path / "state.json"
+        qs.save_state(state_path, qs.make_product([(0, 0, 1)]))
+        metric_path = tmp_path / "metric.json"
+        metric_path.write_text(metric)
+        code, out, err = run_cli(
+            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+        )
+        assert code == 2
+        assert out == ""
+        field = "weights" if "diagonal" in metric else "matrix"
+        assert f"field '{field}' must hold finite numbers" in err
+
 
 class TestTensorExport:
     def test_csv_output(self, tmp_path, capsys):

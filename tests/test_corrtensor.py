@@ -64,6 +64,14 @@ class TestComputeTensor:
             back = ct.tensor_to_density(ct.compute_tensor(rho))
             assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
 
+    def test_imaginary_residue_raises(self):
+        # a non-Hermitian matrix that skipped validation: T_x = 0.5j
+        rho = object.__new__(qs.DensityMatrix)
+        object.__setattr__(rho, "n_qubits", 1)
+        object.__setattr__(rho, "matrix", np.array([[0.5, 0.5j], [0.0, 0.5]]))
+        with pytest.raises(qs.NumericalIntegrityError, match="imaginary"):
+            ct.compute_tensor(rho)
+
     def test_component_range_enforced(self):
         with pytest.raises(ValueError, match="out of"):
             vals = np.zeros((4, 4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellkit import qstate as qs
-from oracles import random_density
+from oracles import random_density, tensor_by_traces
 
 
 class TestMakeGhz:
@@ -158,10 +158,22 @@ class TestPauliExpectation:
             qs.pauli_expectation(qs.make_werner(0.5), (1, 4))
 
     def test_imaginary_residue_raises(self):
-        # a deliberately non-Hermitian matrix sneaks past no validation here
-        mat = np.array([[0.5, 0.5j], [0.0, 0.5]])
-        with pytest.raises(qs.NumericalIntegrityError):
-            qs.pauli_expectation_matrix(mat, (1,))
+        # a non-Hermitian matrix that skipped validation: Tr(rho X) = 0.5j
+        rho = object.__new__(qs.DensityMatrix)
+        object.__setattr__(rho, "n_qubits", 1)
+        object.__setattr__(rho, "matrix", np.array([[0.5, 0.5j], [0.0, 0.5]]))
+        with pytest.raises(qs.NumericalIntegrityError, match="imaginary"):
+            qs.pauli_expectation(rho, (1,))
+
+    def test_matches_operator_traces(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3):
+            rho = random_density(n, rng)
+            expected = tensor_by_traces(rho)
+            for idx in np.ndindex(expected.shape):
+                assert qs.pauli_expectation(rho, idx) == pytest.approx(
+                    expected[idx], abs=1e-12
+                )
 
 
 class TestInvariants:
@@ -184,6 +196,12 @@ class TestInvariants:
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             qs.StateVector(1, np.array([1.0, 1.0]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            qs.StateVector(1, [np.nan, 0.0])
+        with pytest.raises(ValueError, match="Hermitian"):
+            qs.DensityMatrix(1, [[np.nan, 0.0], [0.0, 0.0]])
 
     def test_state_vector_rejects_bad_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -287,3 +305,18 @@ class TestStateJson:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="kind"):
             qs.state_from_json({"n_qubits": 1, "data": [[1.0, 0.0], [0.0, 0.0]]})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, NaN]]}',
+            '{"n_qubits": 1, "kind": "mixed", "data": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [Infinity, 0]]}',
+            '{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 1e400]]}',
+            '{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [1%s, 0]]}' % ("0" * 400),
+        ],
+        ids=["nan-pure", "nan-mixed", "inf", "1e400", "400-digit-int"],
+    )
+    def test_non_finite_entries_name_the_index(self, text):
+        with pytest.raises(ValueError, match=r"'data\[[01]\]' must be a finite"):
+            qs.state_from_json(json.loads(text))

@@ -1,5 +1,7 @@
 """Tensor-norm separability test and metric-operator identifiers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,40 @@ class TestMetricOperators:
             st.metric_from_json({"weights": [1.0]}, 1)
         with pytest.raises(ValueError, match="weights"):
             st.metric_from_json({"kind": "diagonal"}, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "diagonal", "weights": {"a": 1}}',
+            '{"kind": "diagonal", "weights": [null, 1, 1, 1]}',
+            '{"kind": "diagonal", "weights": ["1", 1, 1, 1]}',
+            '{"kind": "diagonal", "weights": [true, false, true, true]}',
+            '{"kind": "diagonal", "weights": [true, 1, 1.5, 1]}',
+            '{"kind": "diagonal", "weights": [NaN, 1, 1, 1]}',
+            '{"kind": "diagonal", "weights": [1e400, 1, 1, 1]}',
+            '{"kind": "diagonal", "weights": [1%s, 1, 1, 1]}' % ("0" * 400),
+            '{"kind": "dense", "matrix": [[1, 0, 0, 0], [0, 1, 0], [0], []]}',
+            '{"kind": "dense", "matrix": [[1, 0, 0, 0], 1, 1, 1]}',
+            '{"kind": "dense", "matrix": [[Infinity, 0, 0, 0], [0, 1, 0, 0], '
+            '[0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"kind": "dense", "matrix": "identity"}',
+        ],
+        ids=[
+            "dict", "null", "string", "bool", "bool-among-numbers", "nan", "1e400", "400-digit-int",
+            "ragged", "list-among-numbers", "inf", "not-a-list",
+        ],
+    )
+    def test_json_rejects_non_numeric_entries(self, text):
+        doc = json.loads(text)
+        field = "weights" if doc["kind"] == "diagonal" else "matrix"
+        with pytest.raises(ValueError, match=f"field '{field}' must hold finite numbers"):
+            st.metric_from_json(doc, 1)
+
+    def test_nan_rejected_in_code(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            st.DiagonalMetric(1, [np.nan, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            st.DenseMetric(1, np.full((4, 4), np.nan))
 
 
 def reference_product_ascent(w, seed, restarts, tol=1e-12, max_sweeps=500):
