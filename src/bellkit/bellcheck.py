@@ -11,7 +11,6 @@ measurement planes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import product
 
@@ -192,14 +191,10 @@ def threshold_rows(n_min: int, n_max: int) -> list:
 
 
 def write_threshold_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["n", "standard_threshold", "rotational_threshold", "rotational_smaller"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                repr(row["standard_threshold"]),
-                repr(row["rotational_threshold"]),
-                str(row["rotational_smaller"]).lower(),
-            ]
-        )
+    """Write the rows as CSV with \\r\\n line ends, floats as their repr."""
+    fh.write("n,standard_threshold,rotational_threshold,rotational_smaller\r\n")
+    fh.writelines(
+        f"{r['n']},{r['standard_threshold']!r},{r['rotational_threshold']!r},"
+        f"{str(r['rotational_smaller']).lower()}\r\n"
+        for r in rows
+    )

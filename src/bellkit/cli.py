@@ -58,9 +58,7 @@ def cmd_chsh(args) -> int:
             "b_value": report.b_value,
             "bound": report.bound,
             "violated": report.violated,
-            "equality_probabilities": [
-                [float(p) for p in row] for row in report.equality_probabilities
-            ],
+            "equality_probabilities": report.equality_probabilities.tolist(),
         },
         args.out,
     )
@@ -90,6 +88,8 @@ def cmd_rotational(args) -> int:
 
 
 def _make_task(name: str, n: int) -> commcomplex.TaskSpec:
+    if n > 20:  # the task arrays have 2^n entries; the threshold table's cap
+        raise ValueError(f"--n must be at most 20, got {n}")
     if name == "mod4":
         return commcomplex.make_mod4_task(n)
     if name == "chsh-game":
@@ -103,7 +103,10 @@ def cmd_commrun(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     task = _make_task(args.task, args.n)
-    bound = commcomplex.classical_optimum(task).f_star
+    if args.n > commcomplex.MAX_EXHAUSTIVE_PARTIES:  # only mod4 allows it
+        bound = commcomplex.mod4_classical_bound(args.n)
+    else:
+        bound = commcomplex.classical_optimum(task).f_star
     records = []
     for protocol in args.protocol:
         if protocol == "classical":
@@ -144,29 +147,21 @@ def cmd_septest(args) -> int:
     rho = qstate.as_density(qstate.load_state(args.state))
     if args.metric is None:
         report = septest.separability_check(rho, seed=args.seed)
-        doc = {
-            "norm_sq": report.norm_sq,
-            "t_max": report.t_max,
-            "detected": report.entangled_detected,
-            "margin": report.margin,
-            "converged": report.converged,
-            "seed": args.seed,
-        }
-        converged = report.converged
+        norm_sq, t_max, detected = report.norm_sq, report.t_max, report.entangled_detected
     else:
         metric = septest.load_metric(args.metric, rho.n_qubits)
         report = septest.identifier_check(rho, metric, seed=args.seed)
-        doc = {
-            "norm_sq": report.rhs,
-            "t_max": report.lhs_max,
-            "detected": report.detected,
-            "margin": report.rhs - report.lhs_max,
-            "converged": report.converged,
-            "seed": args.seed,
-        }
-        converged = report.converged
+        norm_sq, t_max, detected = report.rhs, report.lhs_max, report.detected
+    doc = {
+        "norm_sq": norm_sq,
+        "t_max": t_max,
+        "detected": detected,
+        "margin": norm_sq - t_max,
+        "converged": report.converged,
+        "seed": args.seed,
+    }
     _emit_json(doc, args.out)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_tensor_export(args) -> int:

@@ -9,7 +9,7 @@ carry the N-party correlations contracted here.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,10 +291,8 @@ def max_product_value(
 
 
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:
-    """Write one row per index tuple: columns j1..jN then the value."""
+    """Write one row per index tuple in C order: columns j1..jN then the value."""
     n = t.n_qubits
-    writer = csv.writer(fh)
-    writer.writerow([f"j{k}" for k in range(1, n + 1)] + ["value"])
-    flat = t.values.reshape(-1)
-    for i, idx in enumerate(np.ndindex(*(4,) * n)):
-        writer.writerow(list(idx) + [repr(float(flat[i]))])
+    fh.write(",".join([f"j{k}" for k in range(1, n + 1)] + ["value"]) + "\r\n")
+    rows = zip(itertools.product("0123", repeat=n), t.values.reshape(-1).tolist())
+    fh.writelines(",".join((*idx, repr(v))) + "\r\n" for idx, v in rows)

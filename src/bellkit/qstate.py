@@ -7,6 +7,7 @@ Pauli index convention: 0 = identity, 1/2/3 = x/y/z.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ PAULI = np.array(
 
 
 class NumericalIntegrityError(ArithmeticError):
-    """A quantity that must be real carries a too-large imaginary part."""
+    """A computed quantity is invalid: an imaginary residue, a negative
+    probability or an overflow."""
 
 
 def _check_n_qubits(n: int) -> int:
@@ -255,7 +257,10 @@ def measurement_distribution(state, directions) -> np.ndarray:
         probs = diag.real.reshape((2,) * n)
     else:
         raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
-    probs = np.clip(probs, 0.0, None)
+    low = float(probs.min())
+    if not low >= -1e-10:
+        raise NumericalIntegrityError(f"negative Born probability {low:g}")
+    probs = np.clip(probs, 0.0, None)  # rounding residues only
     return probs / probs.sum()
 
 
@@ -291,8 +296,25 @@ def state_to_json(state) -> dict:
         kind = "mixed"
     else:
         raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
-    data = [[float(z.real), float(z.imag)] for z in flat]
+    data = np.stack([flat.real, flat.imag], axis=1).tolist()
     return {"n_qubits": state.n_qubits, "kind": kind, "data": data}
+
+
+def _float_array(value):
+    """A list of JSON numbers (int or float, not bool), or a list of
+    equal-length lists of them, as a float array; None for any other value
+    or an integer beyond the float range.  NaN and infinities pass."""
+    if not isinstance(value, list):
+        return None
+    kinds = set(map(type, value))
+    if kinds == {list} and len(set(map(len, value))) == 1:
+        kinds = set(map(type, itertools.chain.from_iterable(value)))
+    if not kinds <= {int, float}:
+        return None
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def state_from_json(obj):
@@ -317,18 +339,14 @@ def state_from_json(obj):
     if len(data) != expected:
         raise ValueError(f"field 'data' must have {expected} entries, got {len(data)}")
     bad_pair = "field 'data[{}]' must be a finite [re, im] number pair"
-    flat = np.empty(expected, dtype=complex)
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ValueError(bad_pair.format(i))
-        try:
-            flat[i] = complex(pair[0], pair[1])
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError(bad_pair.format(i)) from None
+    pairs = _float_array(data)
+    if pairs is None or pairs.shape != (expected, 2):
+        # some pair fails on its own; name the first one
+        for i, pair in enumerate(data):
+            row = _float_array(pair)
+            if row is None or row.shape != (2,):
+                raise ValueError(bad_pair.format(i))
+    flat = pairs.view(complex).reshape(-1)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise ValueError(bad_pair.format(bad[0]))

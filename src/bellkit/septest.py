@@ -24,7 +24,7 @@ from .corrtensor import (
     max_product_value,
     tensor_dot,
 )
-from .qstate import DensityMatrix, product_matrix
+from .qstate import DensityMatrix, NumericalIntegrityError, _float_array, product_matrix
 
 DETECTION_TOL = 1e-7
 
@@ -74,11 +74,6 @@ class MetricOperator:
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def quadratic(self, s: CorrelationTensor, q: CorrelationTensor) -> float:
-        if s.n_qubits != self.n_qubits or q.n_qubits != self.n_qubits:
-            raise ValueError("tensor party count does not match the metric")
-        return float(np.dot(s.values.reshape(-1), self.apply(q.values.reshape(-1))))
 
 
 class DiagonalMetric(MetricOperator):
@@ -179,15 +174,22 @@ def identifier_check(
             f"metric is for {metric.n_qubits} qubits, state has {rho_ent.n_qubits}"
         )
     t = compute_tensor(rho_ent)
-    rhs = metric.quadratic(t, t)
     w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
+    with np.errstate(over="ignore"):  # reported below
+        rhs = float(np.vdot(t.values, w))
+        w_sq = float(np.vdot(w, w))
+    # |<t_prod, w>| <= |w| for unit directions: the ascent stays finite too
+    if not (np.isfinite(rhs) and np.isfinite(w_sq)):
+        raise NumericalIntegrityError(
+            f"identifier overflows: <t, G t> = {rhs!r}, |G t|^2 = {w_sq!r}"
+        )
     starts = _random_starts(t.n_qubits, seed, restarts)
     hi = _ascend(w, starts.copy())
     lo = _ascend(-w, starts)
     lhs_max = max(hi.value, lo.value)
     converged = hi.converged and lo.converged
     return IdentifierReport(
-        rhs=float(rhs),
+        rhs=rhs,
         lhs_max=float(lhs_max),
         detected=bool(converged and lhs_max < rhs - DETECTION_TOL),
         converged=converged,
@@ -221,9 +223,9 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
 
 def metric_to_json(metric: MetricOperator) -> dict:
     if isinstance(metric, DiagonalMetric):
-        return {"kind": "diagonal", "weights": [float(x) for x in metric.weights]}
+        return {"kind": "diagonal", "weights": metric.weights.tolist()}
     if isinstance(metric, DenseMetric):
-        return {"kind": "dense", "matrix": [[float(x) for x in row] for row in metric.matrix]}
+        return {"kind": "dense", "matrix": metric.matrix.tolist()}
     raise TypeError(f"unknown metric type {type(metric)!r}")
 
 
@@ -231,26 +233,17 @@ def metric_from_json(obj, n_qubits: int) -> MetricOperator:
     if not isinstance(obj, dict):
         raise ValueError("metric document must be a JSON object")
     kind = obj.get("kind")
-    if kind == "diagonal":
-        return DiagonalMetric(n_qubits, _finite_field(obj, "weights"))
-    if kind == "dense":
-        return DenseMetric(n_qubits, _finite_field(obj, "matrix"))
-    raise ValueError("field 'kind' must be 'diagonal' or 'dense'")
-
-
-def _finite_field(obj: dict, field: str) -> np.ndarray:
-    """The (nested) list of numbers in obj[field] as a float array."""
+    if kind not in ("diagonal", "dense"):
+        raise ValueError("field 'kind' must be 'diagonal' or 'dense'")
+    field = "weights" if kind == "diagonal" else "matrix"
     if field not in obj:
         raise ValueError(f"missing field '{field}'")
-    # ragged nesting leaves lists among the entries; bool is not a number here
-    raw = np.asarray(obj[field], dtype=object)
-    try:
-        arr = raw.astype(float) if set(map(type, raw.flat)) <= {int, float} else None
-    except OverflowError:  # an integer beyond the float range
-        arr = None
+    arr = _float_array(obj[field])
     if arr is None or not np.all(np.isfinite(arr)):
         raise ValueError(f"field '{field}' must hold finite numbers only")
-    return arr
+    if kind == "diagonal":
+        return DiagonalMetric(n_qubits, arr)
+    return DenseMetric(n_qubits, arr)
 
 
 def load_metric(path, n_qubits: int) -> MetricOperator:

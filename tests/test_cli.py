@@ -142,6 +142,25 @@ class TestCommrun:
         )
         assert code == 2
 
+    def test_beyond_exhaustive_cap_uses_closed_form_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "commrun", "--task", "mod4", "--n", "14",
+            "--protocol", "classical", "sequential", "--trials", "1000",
+        )
+        assert code == 0
+        for record in json.loads(out):
+            assert record["classical_bound"] == 2.0**-6
+        assert json.loads(out)[1]["fidelity"] == 1.0
+
+    def test_too_many_parties_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "commrun", "--task", "mod4", "--n", "21", "--protocol", "classical"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--n must be at most 20, got 21" in err
+
     def test_seeded_outputs_identical(self, tmp_path):
         args = [
             "commrun", "--task", "mod4", "--n", "4",
@@ -262,6 +281,36 @@ class TestSeptest:
         assert out == ""
         field = "weights" if "diagonal" in metric else "matrix"
         assert f"field '{field}' must hold finite numbers" in err
+
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.7e308] * 16, [0.0] * 5 + [1.7e308] + [0.0] * 10],
+        ids=["all-huge", "one-huge"],
+    )
+    def test_overflowing_metric_exits_3(self, tmp_path, capsys, weights):
+        state_path = tmp_path / "state.json"
+        qs.save_state(state_path, qs.make_werner(0.5))
+        metric_path = tmp_path / "metric.json"
+        metric_path.write_text(json.dumps({"kind": "diagonal", "weights": weights}))
+        code, out, err = run_cli(
+            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflow" in err
+
+    def test_unit_weight_on_one_coordinate_not_detected(self, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        qs.save_state(state_path, qs.make_werner(0.5))
+        metric_path = tmp_path / "metric.json"
+        weights = [0.0] * 5 + [1.0] + [0.0] * 10
+        metric_path.write_text(json.dumps({"kind": "diagonal", "weights": weights}))
+        code, out, _ = run_cli(
+            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+        )
+        assert code == 0
+        assert json.loads(out)["detected"] is False
 
 
 class TestTensorExport:

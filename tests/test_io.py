@@ -1,0 +1,78 @@
+"""Whole-array state, metric and tensor codecs against the per-entry references."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from bellkit import corrtensor as ct
+from bellkit import qstate as qs
+from bellkit import septest as st
+from io_reference import (
+    reference_metric_from_json,
+    reference_metric_to_json,
+    reference_state_from_json,
+    reference_state_to_json,
+    reference_tensor_to_csv,
+)
+from oracles import random_density
+
+
+def seeded_state(n, kind):
+    rng = np.random.default_rng(1000 * n + (kind == "mixed"))
+    if kind == "mixed":
+        return random_density(n, rng)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return qs.StateVector(n, amps / np.linalg.norm(amps))
+
+
+def state_arrays(state):
+    arr = state.amplitudes if isinstance(state, qs.StateVector) else state.matrix
+    return type(state), arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("n", range(1, 7))
+class TestStateCodecs:
+    def test_json_bytes_and_decode(self, n, kind, tmp_path):
+        state = seeded_state(n, kind)
+        text = json.dumps(qs.state_to_json(state))
+        assert text == json.dumps(reference_state_to_json(state))
+        path = tmp_path / "state.json"
+        qs.save_state(path, state)
+        assert path.read_text(encoding="utf-8") == text + "\n"
+        doc = json.loads(text)
+        assert state_arrays(qs.state_from_json(doc)) == state_arrays(
+            reference_state_from_json(doc)
+        )
+
+    def test_tensor_csv_bytes(self, n, kind):
+        tensor = ct.compute_tensor(qs.as_density(seeded_state(n, kind)))
+        new, ref = io.StringIO(), io.StringIO()
+        ct.tensor_to_csv(tensor, new)
+        reference_tensor_to_csv(tensor, ref)
+        assert new.getvalue() == ref.getvalue()
+
+
+def seeded_metrics():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        yield st.identity_proper_metric(n)
+        yield st.DiagonalMetric(n, rng.uniform(0.0, 2.0, size=4**n))
+        yield st.rank_one_metric(ct.compute_tensor(random_density(n, rng)))
+        g = rng.normal(size=(4**n, 4**n))
+        yield st.DenseMetric(n, g @ g.T)
+
+
+@pytest.mark.parametrize("metric", list(seeded_metrics()), ids=lambda m: type(m).__name__)
+def test_metric_codecs(metric):
+    text = json.dumps(st.metric_to_json(metric))
+    assert text == json.dumps(reference_metric_to_json(metric))
+    doc = json.loads(text)
+    new = st.metric_from_json(doc, metric.n_qubits)
+    ref = reference_metric_from_json(doc, metric.n_qubits)
+    assert type(new) is type(ref)
+    field = "weights" if isinstance(new, st.DiagonalMetric) else "matrix"
+    a, b = getattr(new, field), getattr(ref, field)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -2,7 +2,8 @@
 
 Every document either decodes to an object whose arrays are all finite or
 raises ValueError; any other exception, or a NaN or infinity that gets
-through, is a failure.
+through, is a failure.  The loaders also give the same arrays, or raise the
+same message, as the per-entry references in io_reference.py.
 """
 
 import numpy as np
@@ -11,6 +12,11 @@ from hypothesis import strategies as hs
 
 from bellkit import qstate as qs
 from bellkit import septest as st
+from io_reference import (
+    reference_finite_field,
+    reference_metric_from_json,
+    reference_state_from_json,
+)
 
 FUZZ = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -58,17 +64,43 @@ def assert_finite_or_value_error(load, doc):
         assert np.all(np.isfinite(arr))
 
 
+def outcome(load, doc):
+    """The ValueError message, or the decoded type and array bytes."""
+    try:
+        out = load(doc)
+    except ValueError as exc:
+        return str(exc)
+    arrays = [(k, v.shape, v.tobytes()) for k, v in vars(out).items() if isinstance(v, np.ndarray)]
+    return type(out), arrays
+
+
 @FUZZ
 @given(json_values | state_docs())
 @example({"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]})
 @example({"n_qubits": 1, "kind": "mixed", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+# a non-finite pair before a non-number pair: the latter is named
+@example({"n_qubits": 1, "kind": "pure", "data": [[float("nan"), 0], ["a", 0]]})
+@example({"n_qubits": 1, "kind": "pure", "data": [[float("inf"), 0], [1, 10**400]]})
 def test_state_loader(doc):
     assert_finite_or_value_error(qs.state_from_json, doc)
+    assert outcome(qs.state_from_json, doc) == outcome(reference_state_from_json, doc)
 
 
 @FUZZ
 @given(metric_docs)
 @example({"kind": "diagonal", "weights": [0, 1, 1, 1]})
 @example({"kind": "dense", "matrix": np.eye(4).tolist()})
+@example({"kind": "diagonal", "weights": [[0, 1], [1, 1]]})
+@example({"kind": "diagonal", "weights": [[[0, 1], [1, 1]]]})
+@example({"kind": "dense", "matrix": 1})
 def test_metric_loader(doc):
     assert_finite_or_value_error(lambda d: st.metric_from_json(d, 1), doc)
+    new = outcome(lambda d: st.metric_from_json(d, 1), doc)
+    ref = outcome(lambda d: reference_metric_from_json(d, 1), doc)
+    if new != ref:
+        # the one narrowing: a field the reference read as a scalar or as
+        # three or more levels of nesting is not a list of numbers or of
+        # equal-length lists of them
+        field = "weights" if doc["kind"] == "diagonal" else "matrix"
+        assert new == f"field '{field}' must hold finite numbers only"
+        assert reference_finite_field(doc, field).ndim not in (1, 2)

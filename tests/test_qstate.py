@@ -238,6 +238,25 @@ class TestMeasurementDistribution:
             assert corr == pytest.approx(qs.pauli_expectation(rho, idx), abs=1e-10)
 
 
+    @staticmethod
+    def unvalidated(diag):
+        rho = object.__new__(qs.DensityMatrix)
+        object.__setattr__(rho, "n_qubits", 1)
+        object.__setattr__(rho, "matrix", np.diag(diag).astype(complex))
+        return rho
+
+    def test_negative_probability_raises(self):
+        # a non-positive matrix that skipped validation
+        rho = self.unvalidated([1.5, -0.5])
+        with pytest.raises(qs.NumericalIntegrityError, match="negative Born probability"):
+            qs.measurement_distribution(rho, [(0, 0, 1)])
+
+    def test_rounding_residue_clipped(self):
+        rho = self.unvalidated([1.0 + 1e-12, -1e-12])
+        probs = qs.measurement_distribution(rho, [(0, 0, 1)])
+        assert probs.tolist() == [1.0, 0.0]
+
+
 class TestPartialTrace:
     def test_werner_marginals_maximally_mixed(self):
         rho = qs.make_werner(0.7)
