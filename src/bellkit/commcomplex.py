@@ -71,7 +71,7 @@ class TaskSpec:
         return self.f * self.p_prime
 
     def support_tuples(self) -> list:
-        return [tuple(int(b) for b in x) for x in np.argwhere(self.support)]
+        return [tuple(x) for x in np.argwhere(self.support).tolist()]
 
 
 def make_mod4_task(n: int) -> TaskSpec:
@@ -336,20 +336,25 @@ def _make_result(scores: np.ndarray) -> ProtocolResult:
 def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
     """Draw x from the promise, then z uniformly, on one default_rng(seed).
 
-    Returns the support tuples, the drawn support indices, the z bits, the
-    targets T = f(x) (-1)^(z_1+..+z_N), and the generator, so the caller
-    continues the same stream.
+    Returns the flat indices of the support points (C order, as
+    support_tuples lists them), the drawn positions in that list, the z
+    bits, the targets T = f(x) (-1)^(z_1+..+z_N), and the generator, so the
+    caller continues the same stream.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    support = task.support_tuples()
-    weights = np.array([task.p_prime[x] for x in support])
+    support = np.flatnonzero(task.support)
     rng = np.random.default_rng(seed)
-    x_idx = rng.choice(len(support), size=trials, p=weights)
+    x_idx = rng.choice(support.size, size=trials, p=task.p_prime.reshape(-1)[support])
     z_bits = rng.integers(0, 2, size=(trials, task.n_parties))
-    f_vals = np.array([task.f[x] for x in support])[x_idx]
+    f_vals = task.f.reshape(-1)[support[x_idx]]
     targets = f_vals * (1 - 2 * (z_bits.sum(axis=1) % 2))
     return support, x_idx, z_bits, targets, rng
+
+
+def _bits(flat: np.ndarray, n: int) -> np.ndarray:
+    """The n index bits of flat indices into a (2,)*n array, axis 1 first."""
+    return (flat[..., None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def run_entangled_protocol(
@@ -371,20 +376,20 @@ def run_entangled_protocol(
     n = task.n_parties
     support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
 
-    # joint Born distribution is fixed per support tuple; sample per group
+    # joint Born distribution is fixed per support point; sample per group,
+    # groups in support order, trials in drawn order within a group
+    order = np.argsort(x_idx, kind="stable")
+    counts = np.bincount(x_idx, minlength=support.size)
+    ends = np.cumsum(counts)
     outcome_idx = np.empty(trials, dtype=int)
-    for i, x in enumerate(support):
-        mask = x_idx == i
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        dirs = s[np.arange(n), list(x)]
+    for i in np.flatnonzero(counts):
+        rows = order[ends[i] - counts[i] : ends[i]]
+        dirs = s[np.arange(n), _bits(support[i], n)]
         probs = measurement_distribution(state, dirs).reshape(-1)
-        outcome_idx[mask] = rng.choice(probs.size, size=count, p=probs)
+        outcome_idx[rows] = rng.choice(probs.size, size=rows.size, p=probs)
 
     # bit b_k of the outcome index: 0 -> gamma_k = +1 (qubit 1 is the MSB)
-    shifts = n - 1 - np.arange(n)
-    gamma = 1 - 2 * ((outcome_idx[:, None] >> shifts) & 1)
+    gamma = 1 - 2 * _bits(outcome_idx, n)
     y = 1 - 2 * z_bits
     messages = y[:, : n - 1] * gamma[:, : n - 1]
     assert messages.shape == (trials, n - 1)
@@ -438,7 +443,7 @@ def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolR
     """
     _require_mod4(task)
     support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
-    x_bits = np.array(support)[x_idx]
+    x_bits = _bits(support[x_idx], task.n_parties)
 
     phases = np.pi * z_bits + (np.pi / 2) * x_bits
     amp1 = np.exp(1j * phases.sum(axis=1))  # amplitude of |1> after all hops

@@ -54,7 +54,8 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector must have length {2**n}, got {amps.shape[0]}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         # tolerance tests are written fail-closed so that NaN is rejected
         if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
@@ -91,9 +92,7 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if not min_eig >= -1e-10:
-            raise ValueError(f"matrix not positive: min eigenvalue = {min_eig:g}")
+        _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
@@ -101,6 +100,26 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+
+def _require_positive(mat: np.ndarray, message: str) -> None:
+    """Raise ValueError(message.format(min_eig)) if the Hermitian matrix has
+    an eigenvalue below -1e-10.
+
+    A Cholesky factor of mat + 1e-10 I proves there is none, at a fraction of
+    the cost of a full eigendecomposition.  Only when the factorization fails
+    is the smallest eigenvalue computed, and it decides.
+    """
+    shifted = mat.copy()
+    shifted.reshape(-1)[:: mat.shape[0] + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        pass
+    min_eig = float(np.linalg.eigvalsh(mat)[0])
+    if not min_eig >= -1e-10:
+        raise ValueError(message.format(min_eig))
 
 
 def as_density(state) -> DensityMatrix:
@@ -216,12 +235,18 @@ def check_unit_vector(v, atol: float = 1e-12) -> np.ndarray:
 
 def measurement_basis(direction) -> np.ndarray:
     """Unitary whose columns are the +1 / -1 eigenvectors of n . sigma."""
-    nx, ny, nz = check_unit_vector(direction)
+    return _measurement_bases(check_unit_vector(direction)[None])[0]
+
+
+def _measurement_bases(dirs: np.ndarray) -> np.ndarray:
+    """measurement_basis of every row of a (k, 3) array of unit vectors,
+    unchecked, in one pass; shape (k, 2, 2)."""
+    nx, ny, nz = np.ascontiguousarray(dirs.T)
     theta = np.arccos(np.clip(nz, -1.0, 1.0))
     phi = np.arctan2(ny, nx)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ph = np.exp(1j * phi)
-    return np.array([[c, -s], [s * ph, c * ph]])
+    return np.stack([np.stack([c, -s], -1), np.stack([s * ph, c * ph], -1)], -2)
 
 
 def measurement_distribution(state, directions) -> np.ndarray:
@@ -234,7 +259,9 @@ def measurement_distribution(state, directions) -> np.ndarray:
     n = state.n_qubits
     if dirs.shape != (n, 3):
         raise ValueError(f"need {n} directions of 3 components, got shape {dirs.shape}")
-    basis = [measurement_basis(d) for d in dirs]
+    for d in dirs:
+        check_unit_vector(d)
+    basis = _measurement_bases(dirs)
     if isinstance(state, StateVector):
         amp = state.amplitudes.reshape((2,) * n)
         for k in range(n):
@@ -307,12 +334,18 @@ def _float_array(value):
     if not isinstance(value, list):
         return None
     kinds = set(map(type, value))
-    if kinds == {list} and len(set(map(len, value))) == 1:
+    widths = set(map(len, value)) if kinds == {list} else set()
+    if len(widths) == 1:
         kinds = set(map(type, itertools.chain.from_iterable(value)))
     if not kinds <= {int, float}:
         return None
     try:
-        return np.array(value, dtype=float)
+        if not widths:
+            return np.array(value, dtype=float)
+        (width,) = widths
+        numbers = itertools.chain.from_iterable(value)
+        flat = np.fromiter(numbers, float, count=len(value) * width)
+        return flat.reshape(len(value), width)
     except OverflowError:  # an integer beyond the float range
         return None
 
@@ -350,6 +383,10 @@ def state_from_json(obj):
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise ValueError(bad_pair.format(bad[0]))
+    # Drop the document before validation allocates: at N = 10 it is several
+    # times the size of the matrix.  load_state passes it as a temporary, so
+    # these are its last references.
+    del obj, data
     if kind == "pure":
         return StateVector(n, flat)
     return DensityMatrix(n, flat.reshape(2**n, 2**n))
@@ -363,4 +400,5 @@ def save_state(path, state) -> None:
 
 def load_state(path):
     with open(path, "r", encoding="utf-8") as fh:
+        # no name holds the document, so state_from_json can free it
         return state_from_json(json.load(fh))

@@ -24,7 +24,13 @@ from .corrtensor import (
     max_product_value,
     tensor_dot,
 )
-from .qstate import DensityMatrix, NumericalIntegrityError, _float_array, product_matrix
+from .qstate import (
+    DensityMatrix,
+    NumericalIntegrityError,
+    _float_array,
+    _require_positive,
+    product_matrix,
+)
 
 DETECTION_TOL = 1e-7
 
@@ -106,9 +112,7 @@ class DenseMetric(MetricOperator):
         sym_err = float(np.max(np.abs(m - m.T)))
         if not sym_err <= 1e-12:
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if not min_eig >= -1e-10:
-            raise ValueError(f"metric not non-negative: min eigenvalue {min_eig:g}")
+        _require_positive(m, "metric not non-negative: min eigenvalue {:g}")
         m.setflags(write=False)
         self.n_qubits = int(n_qubits)
         self.matrix = m

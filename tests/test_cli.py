@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,30 @@ class TestTensorExport:
         values = {tuple(map(int, ln.split(",")[:2])): float(ln.split(",")[2]) for ln in lines[1:]}
         assert values[(1, 1)] == pytest.approx(-1.0, abs=1e-12)
         assert values[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOverflowingState:
+    def test_scaled_pure_state_exits_2_with_one_error_line(self, tmp_path):
+        # every amplitude scaled by 1.7e308: |amp|^2 overflows to inf
+        doc = qs.state_to_json(qs.make_ghz(2))
+        doc["data"] = [[1.7e308 * re, 1.7e308 * im] for re, im in doc["data"]]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellkit", "tensor-export", "--state", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: state not normalized: sum |amp|^2 = inf\n"
 
 
 class TestUsage:

@@ -1,10 +1,11 @@
-"""Exit-code contract of ``septest`` and ``tensor-export`` on generated files.
+"""Exit-code contract of ``septest``, ``tensor-export`` and ``chsh --state``
+on generated files.
 
 State and metric documents for N <= 3, valid or corrupted, go through
 ``cli.main``.  It must return 0, 2 or 3 and let no exception escape.  On
 exit 2 stdout is empty; on exit 3 stdout is empty (a numerical error) or
 holds the report of an ascent that did not converge.  A septest report
-is strict JSON: no NaN or Infinity.
+and a chsh report are strict JSON: no NaN or Infinity.
 """
 
 import contextlib
@@ -119,3 +120,15 @@ def test_septest(workdir, data):
     assert_contract(code, out)
     if code == 0:
         assert set(strict_json(out)) == {"norm_sq", "t_max", "detected", "margin", "converged", "seed"}
+
+
+@FUZZ
+@given(doc=state_docs())
+def test_chsh_state(workdir, doc):
+    path = workdir / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["chsh", "--state", str(path)])
+    assert_contract(code, out)
+    if code == 0:
+        report = strict_json(out)
+        assert set(report) == {"b_value", "bound", "violated", "equality_probabilities"}

@@ -233,6 +233,83 @@ class TestEntangledProtocol:
             cc.run_entangled_protocol(task, qs.make_ghz(2), cc.mod4_settings(2), 0, seed=0)
 
 
+def reference_draw(task, trials, seed):
+    """Input draw with support tuples and per-tuple lookups."""
+    support = task.support_tuples()
+    weights = np.array([task.p_prime[x] for x in support])
+    rng = np.random.default_rng(seed)
+    x_idx = rng.choice(len(support), size=trials, p=weights)
+    z_bits = rng.integers(0, 2, size=(trials, task.n_parties))
+    f_vals = np.array([task.f[x] for x in support])[x_idx]
+    targets = f_vals * (1 - 2 * (z_bits.sum(axis=1) % 2))
+    return support, x_idx, z_bits, targets, rng
+
+
+def reference_entangled_protocol(task, state, settings, trials, seed):
+    """run_entangled_protocol with one boolean mask per support tuple."""
+    n = task.n_parties
+    s = np.asarray(settings, dtype=float)
+    support, x_idx, z_bits, targets, rng = reference_draw(task, trials, seed)
+    outcome_idx = np.empty(trials, dtype=int)
+    for i, x in enumerate(support):
+        mask = x_idx == i
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        probs = qs.measurement_distribution(state, s[np.arange(n), list(x)]).reshape(-1)
+        outcome_idx[mask] = rng.choice(probs.size, size=count, p=probs)
+    gamma = 1 - 2 * ((outcome_idx[:, None] >> (n - 1 - np.arange(n))) & 1)
+    y = 1 - 2 * z_bits
+    messages = y[:, : n - 1] * gamma[:, : n - 1]
+    answers = y[:, n - 1] * gamma[:, n - 1] * np.prod(messages, axis=1)
+    return cc._make_result((targets * answers).astype(float))
+
+
+def reference_sequential_protocol(task, trials, seed):
+    support, x_idx, z_bits, targets, rng = reference_draw(task, trials, seed)
+    x_bits = np.array(support)[x_idx]
+    phases = np.pi * z_bits + (np.pi / 2) * x_bits
+    amp1 = np.exp(1j * phases.sum(axis=1))
+    p_plus = np.clip((1.0 + amp1.real) / 2.0, 0.0, 1.0)
+    answers = np.where(rng.random(trials) < p_plus, 1, -1)
+    return cc._make_result((targets * answers).astype(float))
+
+
+class TestProtocolsMatchReference:
+    """The protocols draw and group with arrays; results are equal to the
+    tuple-and-mask reference."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_entangled_mod4(self, n):
+        rng = np.random.default_rng(50 + n)
+        task = cc.make_mod4_task(n)
+        settings = rng.normal(size=(n, 2, 3))
+        settings /= np.linalg.norm(settings, axis=2, keepdims=True)
+        for state, trials in (
+            (qs.make_ghz(n), 3000),
+            (qs.make_noisy_ghz(n, 0.7), 3000),
+            (qs.make_ghz(n), 5),  # most support points never drawn
+        ):
+            for sets in (cc.mod4_settings(n), settings):
+                expected = reference_entangled_protocol(task, state, sets, trials, seed=n)
+                assert cc.run_entangled_protocol(task, state, sets, trials, seed=n) == expected
+
+    def test_entangled_chsh_game(self):
+        task = cc.make_chsh_game()
+        state = qs.make_werner(0.9)
+        settings = cc.chsh_game_settings()
+        for seed in range(5):
+            expected = reference_entangled_protocol(task, state, settings, 2000, seed)
+            assert cc.run_entangled_protocol(task, state, settings, 2000, seed) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_sequential(self, n):
+        task = cc.make_mod4_task(n)
+        for seed in range(3):
+            expected = reference_sequential_protocol(task, 700, seed)
+            assert cc.run_sequential_protocol(task, 700, seed) == expected
+
+
 class TestSequentialProtocol:
     def test_single_input_phase_arithmetic(self):
         # x = (0,1,1), z = (0,0,0): phase pi -> (|0> - |1>)/sqrt(2) -> -1

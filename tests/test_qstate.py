@@ -208,6 +208,97 @@ class TestInvariants:
             qs.StateVector(2, np.array([1.0, 0.0]))
 
 
+def haar_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestPositivity:
+    """DensityMatrix validation certifies positivity with a Cholesky factor
+    of rho + 1e-10 I; the eigenvalue criterion it stands for is
+    eigvalsh(rho)[0] >= -1e-10."""
+
+    @pytest.mark.parametrize("lam_min", [-1e-9, -2e-10, -5e-11, 0.0])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_verdict_matches_eigenvalue_criterion(self, n, lam_min):
+        rng = np.random.default_rng(1000 * n + 7)
+        dim = 2**n
+        rest = rng.random(dim - 1) + 0.1
+        lam = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+        u = haar_unitary(dim, rng)
+        mat = (u * lam) @ u.conj().T
+        mat = (mat + mat.conj().T) / 2
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig >= -1e-10:
+            qs.DensityMatrix(n, mat)
+        else:
+            message = f"matrix not positive: min eigenvalue = {min_eig:g}"
+            with pytest.raises(ValueError) as info:
+                qs.DensityMatrix(n, mat)
+            assert str(info.value) == message
+        assert (min_eig >= -1e-10) == (lam_min > -1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pure_projectors_certified_without_eigenvalues(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        # a normalized complex Gaussian vector is Haar-random
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = qs.StateVector(n, amps / np.linalg.norm(amps))
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a valid state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        rho = state.projector()
+        assert rho.n_qubits == n
+
+    def test_input_left_unchanged(self):
+        mat = np.eye(4, dtype=complex) / 4
+        before = mat.copy()
+        qs.DensityMatrix(2, mat)
+        assert mat.tobytes() == before.tobytes()
+
+
+def reference_measurement_basis(direction):
+    """measurement_basis as one scalar computation per direction."""
+    nx, ny, nz = qs.check_unit_vector(direction)
+    theta = np.arccos(np.clip(nz, -1.0, 1.0))
+    phi = np.arctan2(ny, nx)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ph = np.exp(1j * phi)
+    return np.array([[c, -s], [s * ph, c * ph]])
+
+
+class TestMeasurementBasis:
+    def directions(self):
+        rng = np.random.default_rng(21)
+        dirs = rng.normal(size=(2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        angles = np.linspace(0.0, 2 * np.pi, 33)
+        circles = [
+            np.stack([np.cos(angles), np.sin(angles), 0 * angles], axis=1),
+            np.stack([np.cos(angles), 0 * angles, np.sin(angles)], axis=1),
+        ]
+        return np.vstack([dirs, *circles, np.eye(3), -np.eye(3)])
+
+    def test_bit_equal_to_scalar_formula(self):
+        dirs = self.directions()
+        expected = np.array([reference_measurement_basis(d) for d in dirs])
+        single = np.array([qs.measurement_basis(d) for d in dirs])
+        assert single.tobytes() == expected.tobytes()
+        for k in (1, 2, 3, 10):
+            batched = np.concatenate(
+                [qs._measurement_bases(dirs[i : i + k]) for i in range(0, len(dirs), k)]
+            )
+            assert batched.tobytes() == expected.tobytes()
+
+    def test_rejects_non_unit(self):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            qs.measurement_basis([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            qs.measurement_distribution(qs.make_ghz(2), [[1, 0, 0], [0.5, 0, 0]])
+
+
 class TestMeasurementDistribution:
     def test_phi_plus_xx_perfectly_correlated(self):
         probs = qs.measurement_distribution(qs.make_ghz(2), [[1, 0, 0], [1, 0, 0]])

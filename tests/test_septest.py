@@ -168,6 +168,16 @@ class TestMetricOperators:
         with pytest.raises(ValueError, match="symmetric"):
             st.DenseMetric(2, asym)
 
+    def test_dense_rejection_message(self):
+        bad = np.diag([1.0, 0.5, -0.25, 0.0])
+        with pytest.raises(ValueError) as info:
+            st.DenseMetric(1, bad)
+        assert str(info.value) == "metric not non-negative: min eigenvalue -0.25"
+        # within the tolerance: accepted
+        st.DenseMetric(1, np.diag([1.0, 0.5, -5e-11, 0.0]))
+        with pytest.raises(ValueError, match="min eigenvalue -2e-10"):
+            st.DenseMetric(1, np.diag([1.0, 0.5, -2e-10, 0.0]))
+
     def test_dimension_mismatch(self):
         metric = st.identity_proper_metric(3)
         with pytest.raises(ValueError):
