@@ -58,7 +58,6 @@ from .commcomplex import (
     chsh_game_settings,
     chsh_game_target,
     classical_optimum,
-    classical_optimum_ascent,
     make_chsh_game,
     make_mod4_task,
     mod4_classical_bound,

@@ -23,6 +23,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
+# at this many trials a sequential run at N = 20 peaks near 0.7 GB
+MAX_TRIALS = 10**6
+
 
 def _emit(text: str, out_path) -> None:
     if out_path is None:
@@ -100,8 +103,8 @@ def _make_task(name: str, n: int) -> commcomplex.TaskSpec:
 
 
 def cmd_commrun(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
     task = _make_task(args.task, args.n)
     if args.n > commcomplex.MAX_EXHAUSTIVE_PARTIES:  # only mod4 allows it
         bound = commcomplex.mod4_classical_bound(args.n)

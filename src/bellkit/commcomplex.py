@@ -182,13 +182,15 @@ def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
     """Exhaustive maximum of |F| over all 4^N sign assignments.
 
     Returns the first maximizer in lexicographic strategy order.  Raises
-    for more than 12 parties; use classical_optimum_ascent beyond that.
+    for more than 12 parties; mod4_classical_bound gives the mod-4 task's
+    bound in closed form beyond that.
     """
     n = task.n_parties
     if n > MAX_EXHAUSTIVE_PARTIES:
         raise ValueError(
             f"strategy space 4^{n} is too large for exhaustive search "
-            f"(cap {MAX_EXHAUSTIVE_PARTIES}); use classical_optimum_ascent"
+            f"(cap {MAX_EXHAUSTIVE_PARTIES}); for the mod-4 task use "
+            "mod4_classical_bound"
         )
     fid = np.abs(_all_strategy_fidelities(task)).reshape(-1)
     idx = int(np.argmax(fid))
@@ -196,59 +198,6 @@ def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
         f_star=float(fid[idx]),
         strategy=ClassicalStrategy.from_index(n, idx),
         index=idx,
-    )
-
-
-def _ascend_signs(g: np.ndarray, signs: np.ndarray) -> tuple:
-    """Coordinate ascent on F = sum_x g(x) prod c_n(x_n) from one start."""
-    n = signs.shape[0]
-    signs = signs.copy()
-    while True:
-        improved = False
-        for k in range(n):
-            # gradient of F in (c_k(0), c_k(1)) with the rest held fixed
-            other = g
-            for m in range(n):
-                axis = 0 if m < k else 1
-                if m == k:
-                    continue
-                vec = signs[m].astype(float)
-                other = np.tensordot(other, vec, axes=([axis], [0]))
-            new = np.where(other >= 0, 1, -1)
-            # keep the old sign on exactly-zero gradient coordinates
-            new = np.where(other == 0, signs[k], new)
-            if not np.array_equal(new, signs[k]):
-                signs[k] = new
-                improved = True
-        if not improved:
-            break
-    return _signed_sum(g, signs), signs
-
-
-def classical_optimum_ascent(
-    task: TaskSpec, starts=None, n_random_starts: int = 64, seed: int = 0
-) -> ClassicalOptimum:
-    """Coordinate-ascent maximum of |F|; exact at vertices of the cube.
-
-    ``starts`` may list strategy indices; by default random sign starts are
-    drawn.  Ascends F on both g and -g so the absolute value is covered.
-    """
-    n = task.n_parties
-    if starts is not None:
-        start_signs = [ClassicalStrategy.from_index(n, i).signs for i in starts]
-    else:
-        rng = np.random.default_rng(seed)
-        start_signs = list(1 - 2 * rng.integers(0, 2, size=(n_random_starts, n, 2)))
-    best_val = -np.inf
-    best_signs = None
-    for s0 in start_signs:
-        for sign in (1.0, -1.0):
-            val, s = _ascend_signs(sign * task.g, np.asarray(s0, dtype=int))
-            if val > best_val:
-                best_val, best_signs = val, s
-    strategy = ClassicalStrategy(best_signs)
-    return ClassicalOptimum(
-        f_star=float(best_val), strategy=strategy, index=strategy.index()
     )
 
 

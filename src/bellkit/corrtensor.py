@@ -180,31 +180,19 @@ def _random_starts(
 ) -> np.ndarray:
     """Unit start directions, shape (restarts, n, 3), restart r drawn from
     its own (seed, r) stream; inside the frame planes when a frame is given."""
-    starts = np.empty((restarts, n, 3))
+    raw = np.empty((restarts, n, 3 if frame is None else 2))
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        if frame is None:
-            vecs = rng.normal(size=(n, 3))
-        else:
-            coef = rng.normal(size=(n, 2))
-            vecs = np.einsum("ka,kaj->kj", coef, frame.axes)
-        starts[r] = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    return starts
+        raw[r] = rng.normal(size=raw.shape[1:])
+    vecs = raw if frame is None else np.einsum("rka,kaj->rkj", raw, frame.axes)
+    return vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
 
 
-def _contract(w: np.ndarray, vecs: np.ndarray, free: int | None = None) -> np.ndarray:
-    """Contract w with one vector per party for each row of vecs (R, N, d).
-
-    With ``free=k`` party k is left out and its index comes last, giving
-    the (R, d) gradient of the form in that party; otherwise the (R,)
-    values of the form.
-    """
-    out = np.broadcast_to(w, (vecs.shape[0],) + w.shape)
-    if free is not None:
-        out = np.moveaxis(out, 1 + free, -1)
+def _contract(out: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Contract the leading party axes of out (R, ...) in order with the
+    rows of vecs (R, M, d): axis 1 + m meets vecs[:, m]."""
     for m in range(vecs.shape[1]):
-        if m != free:
-            out = np.einsum("ri...,ri->r...", out, vecs[:, m, :])
+        out = np.einsum("ri...,ri->r...", out, vecs[:, m, :])
     return out
 
 
@@ -229,22 +217,33 @@ def _ascend(
     b_k given the others is the normalized gradient (projected into the
     party's plane when a frame is given): every step is exact and monotone.
     ``starts`` (R, N, 3) is updated in place; the best row is returned.
+
+    A sweep shares the contractions with the parties already updated:
+    ``pre`` holds w contracted with parties 0..k-1, so party k's gradient
+    only contracts parties k+1..N-1, and after the last party ``pre`` is
+    the (R,) values.  Every element is the same chain of contractions in
+    party order as contracting from scratch, so the results are bitwise
+    the same.
     """
     dirs = starts
-    values = _contract(w, _party_vectors(w, dirs))
+    u = _party_vectors(w, dirs)  # kept in step with dirs below
+    full = np.broadcast_to(w, (dirs.shape[0],) + w.shape)
+    values = _contract(full, u)
     for _ in range(DEFAULT_MAX_SWEEPS):
+        pre = full
         for k in range(dirs.shape[1]):
             # the constant component of (1, b_k) does not move
-            grad = _contract(w, _party_vectors(w, dirs), free=k)[:, -3:]
+            grad = _contract(np.moveaxis(pre, 1, -1), u[:, k + 1 :])[:, -3:]
             if frame is not None:
                 coef = np.einsum("ri,ai->ra", grad, frame.axes[k])
                 grad = np.einsum("ra,ai->ri", coef, frame.axes[k])
             norms = np.linalg.norm(grad, axis=1)
             ok = norms > 1e-300
             dirs[ok, k, :] = grad[ok] / norms[ok, None]
-        new_values = _contract(w, _party_vectors(w, dirs))
-        converged = np.abs(new_values - values) < DEFAULT_TOL
-        values = new_values
+            u[:, k, -3:] = dirs[:, k]
+            pre = _contract(pre, u[:, k : k + 1])
+        converged = np.abs(pre - values) < DEFAULT_TOL
+        values = pre
         if converged.all():
             break
     best = int(np.argmax(values))

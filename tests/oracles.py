@@ -116,7 +116,8 @@ def tree_protocol_optimum(task, topology: str) -> float:
     n = task.n_parties
     if n not in (2, 3):
         raise ValueError("tree oracle implemented for 2 or 3 parties")
-    support = task.support_tuples()
+    # promise tuples in C order, read straight off the boolean mask
+    support = [tuple(x) for x in np.argwhere(task.support).tolist()]
     weights = {x: task.p_prime[x] / 2**n for x in support}  # joint p(x, z) per z
 
     def answer_optimum(combos):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,23 @@ class TestCommrun:
             "commrun", "--task", "mod4", "--n", "3", "--protocol", "ghz", "--trials", "0",
         )
         assert code == 2
+        assert "--trials" in err
+
+    def test_trials_beyond_cap_exits_2_without_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "commrun", "--task", "mod4", "--n", "4",
+                "--protocol", "sequential", "--trials", "1000000000000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --trials must be in [1, 1000000], got 1000000000000\n"
+        assert peak < 1 << 20
 
     def test_unsupported_combination_exits_2(self, capsys):
         code, _, _ = run_cli(

@@ -115,22 +115,11 @@ class TestClassicalOptimum:
             strat = cc.ClassicalStrategy.from_index(3, idx)
             assert strat.index() == idx
 
-    def test_ascent_from_all_starts_matches_exhaustive(self):
-        for n in (2, 3):
-            task = cc.make_mod4_task(n)
-            exhaustive = cc.classical_optimum(task)
-            ascent = cc.classical_optimum_ascent(task, starts=range(4**n))
-            assert ascent.f_star == pytest.approx(exhaustive.f_star, abs=1e-15)
-        game = cc.make_chsh_game()
-        assert cc.classical_optimum_ascent(
-            game, starts=range(16)
-        ).f_star == pytest.approx(cc.classical_optimum(game).f_star, abs=1e-15)
-
     def test_chsh_game_bound(self):
         assert cc.classical_optimum(cc.make_chsh_game()).f_star == 0.5
 
     def test_party_cap_names_the_fallback(self):
-        with pytest.raises(ValueError, match="classical_optimum_ascent"):
+        with pytest.raises(ValueError, match="mod4_classical_bound"):
             cc.classical_optimum(cc.make_mod4_task(13))
 
 

@@ -5,9 +5,10 @@ import io
 import numpy as np
 import pytest
 
+from ascent_reference import reference_ascend, reference_random_starts
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
-from oracles import random_density, tensor_by_traces
+from oracles import random_density, random_rotation, tensor_by_traces
 
 
 def white_noise(n):
@@ -272,6 +273,54 @@ class TestMaxProductValue:
         b = ct.max_product_value(t, seed=5)
         assert a.value == b.value
         assert np.array_equal(a.directions, b.directions)
+
+
+def rotated_frame(n, rng):
+    """A two-axis frame with a random rotation per party."""
+    return ct.LocalFrame(np.stack([random_rotation(rng)[:2] for _ in range(n)]))
+
+
+class TestAscentMatchesReference:
+    """The prefix-sharing sweep and the batched start projection are
+    bitwise equal to the from-scratch versions in ascent_reference.py."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("dim", (3, 4))
+    @pytest.mark.parametrize("frame_kind", ("none", "xy", "rotated"))
+    def test_bitwise_equal(self, n, dim, frame_kind):
+        rng = np.random.default_rng(1000 * n + 10 * dim + len(frame_kind))
+        frame = {
+            "none": None,
+            "xy": ct.xy_frame(n),
+            "rotated": rotated_frame(n, rng),
+        }[frame_kind]
+        restarts = 8 if n <= 5 else 3
+        for seed in (0, 7):
+            w = rng.normal(size=(dim,) * n)
+            starts = ct._random_starts(n, seed, restarts, frame)
+            assert np.array_equal(
+                starts, reference_random_starts(n, seed, restarts, frame)
+            )
+            ref = reference_ascend(w, starts.copy(), frame)
+            new = ct._ascend(w, starts, frame)
+            assert new.value == ref.value
+            assert np.array_equal(new.directions, ref.directions)
+            assert new.converged == ref.converged
+
+    def test_max_product_value_on_states(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        cases = []
+        for n in (2, 3, 4):
+            t = ct.compute_tensor(random_density(n, rng))
+            for frame in (None, ct.xy_frame(n), rotated_frame(n, rng)):
+                cases.append((t, frame, ct.max_product_value(t, frame=frame, seed=3)))
+        monkeypatch.setattr(ct, "_random_starts", reference_random_starts)
+        monkeypatch.setattr(ct, "_ascend", reference_ascend)
+        for t, frame, res in cases:
+            ref = ct.max_product_value(t, frame=frame, seed=3)
+            assert res.value == ref.value
+            assert np.array_equal(res.directions, ref.directions)
+            assert res.converged == ref.converged
 
 
 class TestCsvExport:
