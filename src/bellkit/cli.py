@@ -52,6 +52,8 @@ def cmd_chsh(args) -> int:
     if args.state is not None:
         rho = qstate.as_density(qstate.load_state(args.state))
     if args.angles is not None:
+        if not np.all(np.isfinite(args.angles)):
+            raise ValueError(f"--angles must be finite numbers, got {args.angles}")
         a1, a2, b1, b2 = args.angles
         a_dirs = np.array([bellcheck.inplane_direction(a1), bellcheck.inplane_direction(a2)])
         b_dirs = np.array([bellcheck.inplane_direction(b1), bellcheck.inplane_direction(b2)])

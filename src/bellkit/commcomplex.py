@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .corrtensor import compute_tensor, correlation_function
-from .qstate import as_density, make_ghz, measurement_distribution
+from .corrtensor import compute_tensor
+from .qstate import _check_unit_rows, _per_party, as_density, make_ghz, measurement_distribution
 
 MAX_EXHAUSTIVE_PARTIES = 12
 
@@ -69,9 +69,6 @@ class TaskSpec:
     def g(self) -> np.ndarray:
         """Weight tensor g = f * p_prime."""
         return self.f * self.p_prime
-
-    def support_tuples(self) -> list:
-        return [tuple(x) for x in np.argwhere(self.support).tolist()]
 
 
 def make_mod4_task(n: int) -> TaskSpec:
@@ -145,15 +142,7 @@ def reduced_fidelity(task: TaskSpec, strategy: ClassicalStrategy) -> float:
             f"party count mismatch: task has {task.n_parties}, "
             f"strategy has {strategy.n_parties}"
         )
-    return _signed_sum(task.g, strategy.signs)
-
-
-def _signed_sum(g: np.ndarray, signs: np.ndarray) -> float:
-    """Contract g with one sign function c_n = signs[n] per axis."""
-    value = g
-    for c in signs:
-        value = np.tensordot(value, c.astype(float), axes=([0], [0]))
-    return float(value)
+    return float(_per_party(task.g, strategy.signs.astype(float)))
 
 
 # Rows are the four sign functions on one bit, ordered by their 2-bit code:
@@ -164,11 +153,8 @@ _PARTY_STRATEGIES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 def _all_strategy_fidelities(task: TaskSpec) -> np.ndarray:
     """Fidelity of every sign assignment, shape (4,)*n, C-ordered so that the
     flat index equals ClassicalStrategy.index()."""
-    out = task.g
-    for _ in range(task.n_parties):
-        # replace the leading x_k axis by the 4 per-party strategies
-        out = np.tensordot(out, _PARTY_STRATEGIES, axes=([0], [1]))
-    return out
+    # each x_k axis becomes the axis of the 4 sign functions on x_k
+    return _per_party(task.g, [_PARTY_STRATEGIES] * task.n_parties)
 
 
 @dataclass(frozen=True)
@@ -240,26 +226,21 @@ def _check_settings(task: TaskSpec, settings) -> np.ndarray:
         raise ValueError(
             f"settings must have shape ({task.n_parties}, 2, 3), got {s.shape}"
         )
-    norms = np.linalg.norm(s, axis=2)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
-        raise ValueError("all settings must be unit vectors")
-    return s
+    return _check_unit_rows(s)
 
 
 def quantum_fidelity_analytic(task: TaskSpec, state, settings) -> float:
-    """F = sum_x g(x) <prod_k n_k(x_k).sigma>, from the correlation tensor."""
+    """F = sum_x g(x) E(x), with E(x) = <prod_k n_k(x_k).sigma> for every x
+    from one contraction of the correlation tensor with the settings."""
     if state.n_qubits != task.n_parties:
         raise ValueError(
             f"party count mismatch: task has {task.n_parties}, "
             f"state has {state.n_qubits} qubits"
         )
     s = _check_settings(task, settings)
-    tensor = compute_tensor(as_density(state))
-    total = 0.0
-    for x in task.support_tuples():
-        dirs = s[np.arange(task.n_parties), list(x)]
-        total += task.g[x] * correlation_function(tensor, dirs)
-    return float(total)
+    e = _per_party(compute_tensor(as_density(state)).proper, s)
+    # f is ignored off the support, so sum only there
+    return float(np.sum(task.g[task.support] * e[task.support]))
 
 
 @dataclass(frozen=True)
@@ -285,10 +266,10 @@ def _make_result(scores: np.ndarray) -> ProtocolResult:
 def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
     """Draw x from the promise, then z uniformly, on one default_rng(seed).
 
-    Returns the flat indices of the support points (C order, as
-    support_tuples lists them), the drawn positions in that list, the z
-    bits, the targets T = f(x) (-1)^(z_1+..+z_N), and the generator, so the
-    caller continues the same stream.
+    Returns the flat indices of the support points (C order), the drawn
+    positions in that array, the z bits, the targets T = f(x)
+    (-1)^(z_1+..+z_N), and the generator, so the caller continues the same
+    stream.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

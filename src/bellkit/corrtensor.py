@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import PAULI, DensityMatrix, NumericalIntegrityError
+from .qstate import _PAULI_PAIRS, _check_unit_rows, _pair_axes, _per_party
 
 DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-12
@@ -34,7 +35,7 @@ class CorrelationTensor:
         if vals.shape != (4,) * n:
             raise ValueError(f"values must have shape {(4,) * n}, got {vals.shape}")
         top = float(np.max(np.abs(vals)))
-        if top > 1.0 + 1e-10:
+        if not top <= 1.0 + 1e-10:  # fail-closed: NaN is rejected
             raise ValueError(f"tensor component out of [-1, 1]: max |T| = {top!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
@@ -58,10 +59,10 @@ class LocalFrame:
             raise ValueError(
                 f"axes must have shape (n_parties, 2 or 3, 3), got {ax.shape}"
             )
+        _check_unit_rows(ax)  # finite unit axes; the Gram test adds orthogonality
         gram = np.einsum("kaK,kbK->kab", ax, ax)
-        eye = np.eye(ax.shape[1])
-        err = float(np.max(np.abs(gram - eye)))
-        if err > 1e-12:
+        err = float(np.max(np.abs(gram - np.eye(ax.shape[1]))))
+        if not err <= 1e-12:
             raise ValueError(f"axes not orthonormal: max Gram deviation {err:g}")
         ax.setflags(write=False)
         object.__setattr__(self, "axes", ax)
@@ -86,16 +87,12 @@ def xy_frame(n_parties: int) -> LocalFrame:
 def compute_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Extract the full correlation tensor of a density matrix.
 
-    Works qubit by qubit on the reshaped matrix, so the cost is
-    O(N 4^N) instead of 4^N separate operator traces.
+    Traces qubit by qubit against the four Paulis on the matrix's (row,
+    col) pairs, so the cost is O(N 4^N) instead of 4^N separate operator
+    traces.
     """
     n = rho.n_qubits
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    for k in range(n):
-        # axes after k steps: (r_k..r_{n-1}, c_k..c_{n-1}, j_0..j_{k-1});
-        # pairing (r_k, c_k) against (col, row) of sigma_j traces qubit k
-        # of rho sigma_j.
-        arr = np.tensordot(arr, PAULI, axes=([0, n - k], [2, 1]))
+    arr = _per_party(_pair_axes(rho.matrix, n), [_PAULI_PAIRS] * n)
     residue = float(np.max(np.abs(arr.imag)))
     if residue > 1e-8:
         raise NumericalIntegrityError(
@@ -112,10 +109,8 @@ def compute_tensor(rho: DensityMatrix) -> CorrelationTensor:
 def tensor_to_density(t: CorrelationTensor) -> DensityMatrix:
     """Rebuild the density matrix 2^-N sum_J T_J sigma_J from a tensor."""
     n = t.n_qubits
-    arr = t.values.astype(complex)
-    for _ in range(n):
-        # consume the leading Pauli index, appending (row, col) axes
-        arr = np.tensordot(arr, PAULI, axes=([0], [0]))
+    # each Pauli index becomes a (row, col) axis pair
+    arr = _per_party(t.values.astype(complex), [np.moveaxis(PAULI, 0, -1)] * n)
     # axes are now (r_0, c_0, r_1, c_1, ...); regroup rows then cols
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     mat = np.transpose(arr, order).reshape(2**n, 2**n) / 2**n
@@ -135,13 +130,7 @@ def correlation_function(t: CorrelationTensor, directions) -> float:
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
     _check_party_count(t, dirs.shape[0], "direction list")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
-        raise ValueError("all measurement directions must be unit vectors")
-    out = t.proper
-    for k in range(t.n_qubits):
-        out = np.tensordot(out, dirs[k], axes=([0], [0]))
-    return float(out)
+    return float(_per_party(t.proper, _check_unit_rows(dirs)))
 
 
 def tensor_dot(s: CorrelationTensor, q: CorrelationTensor) -> float:
@@ -153,11 +142,7 @@ def tensor_dot(s: CorrelationTensor, q: CorrelationTensor) -> float:
 def frame_components(t: CorrelationTensor, frame: LocalFrame) -> np.ndarray:
     """Tensor components along the frame axes: an (n_axes,)*N array."""
     _check_party_count(t, frame.n_parties, "frame")
-    out = t.proper
-    for k in range(t.n_qubits):
-        # rotate qubit k's proper index into the frame; new axis goes last
-        out = np.moveaxis(np.tensordot(out, frame.axes[k], axes=([k], [1])), -1, k)
-    return out
+    return _per_party(t.proper, frame.axes)
 
 
 def inplane_norm_sq(t: CorrelationTensor, frame: LocalFrame) -> float:

@@ -27,6 +27,11 @@ PAULI = np.array(
     dtype=complex,
 )
 
+# The same operators against the (row, col) bit pair of one qubit's matrix
+# entry, flattened to 2 row + col: [j, 2 r + c] = sigma_j[c, r], so that
+# summing rho[r, c] against row j gives Tr(rho sigma_j).
+_PAULI_PAIRS = PAULI.transpose(0, 2, 1).reshape(4, 4)
+
 
 class NumericalIntegrityError(ArithmeticError):
     """A computed quantity is invalid: an imaginary residue, a negative
@@ -204,20 +209,35 @@ def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
     return idx
 
 
+def _per_party(arr: np.ndarray, mats) -> np.ndarray:
+    """Contract one local map per party into arr, party 1 first.
+
+    Each step contracts the leading axis of arr with the last axis of the
+    map and appends the map's other axes, so after all parties their axes
+    are back in party order.  With arr as the first operand the result is
+    C-contiguous in that order; sums over it run in memory order, so their
+    bits depend on it.
+    """
+    for m in mats:
+        arr = np.tensordot(arr, m, axes=([0], [m.ndim - 1]))
+    return arr
+
+
+def _pair_axes(mat: np.ndarray, n: int) -> np.ndarray:
+    """A 2^n x 2^n matrix as a (4,)*n array: axis k holds qubit k's
+    (row, col) bit pair, flattened to 2 row + col."""
+    order = [a for k in range(n) for a in (k, n + k)]
+    return mat.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+
+
 def pauli_expectation(rho: DensityMatrix, indices) -> float:
     """Tr(rho sigma_{j1} x ... x sigma_{jN}); always real for valid inputs.
 
-    Traces out one qubit at a time on the reshaped matrix, as
+    Traces out one qubit at a time on the matrix's (row, col) pairs, as
     corrtensor.compute_tensor does for all index strings at once.
     """
     idx = _check_pauli_string(indices, rho.n_qubits)
-    n = rho.n_qubits
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    for k, j in enumerate(idx):
-        # axes after k steps: (r_k..r_{n-1}, c_k..c_{n-1}); pair (r_k, c_k)
-        # with (col, row) of sigma_j
-        arr = np.tensordot(arr, PAULI[j], axes=([0, n - k], [1, 0]))
-    val = complex(arr)
+    val = complex(_per_party(_pair_axes(rho.matrix, rho.n_qubits), _PAULI_PAIRS[list(idx)]))
     if not abs(val.imag) <= 1e-8:
         raise NumericalIntegrityError(
             f"Pauli expectation has imaginary residue {val.imag:g} for {idx}"
@@ -226,11 +246,19 @@ def pauli_expectation(rho: DensityMatrix, indices) -> float:
 
 
 def check_unit_vector(v, atol: float = 1e-12) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"direction must be a unit 3-vector, got norm {norm!r}")
-    return v
+    return _check_unit_rows(np.asarray(v, dtype=float).reshape(3), atol)
+
+
+def _check_unit_rows(dirs: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """dirs, a float array of 3-vectors along its last axis, if every one
+    has unit norm to atol; otherwise a ValueError naming the first bad
+    norm.  Written fail-closed: NaN and infinite entries are rejected."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail below
+        norms = np.linalg.norm(dirs, axis=-1)
+    bad = ~(np.abs(norms - 1.0) <= atol)
+    if bad.any():
+        raise ValueError(f"direction must be a unit 3-vector, got norm {float(norms[bad][0])!r}")
+    return dirs
 
 
 def measurement_basis(direction) -> np.ndarray:
@@ -259,9 +287,7 @@ def measurement_distribution(state, directions) -> np.ndarray:
     n = state.n_qubits
     if dirs.shape != (n, 3):
         raise ValueError(f"need {n} directions of 3 components, got shape {dirs.shape}")
-    for d in dirs:
-        check_unit_vector(d)
-    basis = _measurement_bases(dirs)
+    basis = _measurement_bases(_check_unit_rows(dirs))
     if isinstance(state, StateVector):
         amp = state.amplitudes.reshape((2,) * n)
         for k in range(n):

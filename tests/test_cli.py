@@ -22,6 +22,22 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_process(*args):
+    """Run ``python -m bellkit`` on args in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "bellkit", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestThresholds:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "thresholds", "--n-min", "2", "--n-max", "6")
@@ -69,6 +85,19 @@ class TestChsh:
         assert code == 0
         doc = json.loads(out)
         assert doc["b_value"] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "angles, shown",
+        [(("nan", "0", "0", "0"), "[nan, 0.0, 0.0, 0.0]"),
+         (("inf", "0", "0", "0"), "[inf, 0.0, 0.0, 0.0]"),
+         # a leading space keeps argparse from reading "-inf" as an option
+         (("0", "1", "2", " -Infinity"), "[0.0, 1.0, 2.0, -inf]")],
+    )
+    def test_non_finite_angles_exit_2_with_one_error_line(self, angles, shown):
+        proc = run_process("chsh", "--angles", *angles)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --angles must be finite numbers, got {shown}\n"
 
 
 class TestRotational:
@@ -356,18 +385,7 @@ class TestOverflowingState:
         doc["data"] = [[1.7e308 * re, 1.7e308 * im] for re, im in doc["data"]]
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "bellkit", "tensor-export", "--state", str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_process("tensor-export", "--state", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: state not normalized: sum |amp|^2 = inf\n"

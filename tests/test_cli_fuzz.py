@@ -1,16 +1,20 @@
-"""Exit-code contract of ``septest``, ``tensor-export`` and ``chsh --state``
-on generated files.
+"""Exit-code contract of the CLI on generated files and argument lists.
 
 State and metric documents for N <= 3, valid or corrupted, go through
-``cli.main``.  It must return 0, 2 or 3 and let no exception escape.  On
-exit 2 stdout is empty; on exit 3 stdout is empty (a numerical error) or
-holds the report of an ascent that did not converge.  A septest report
-and a chsh report are strict JSON: no NaN or Infinity.
+``septest``, ``tensor-export`` and ``chsh --state``; out-of-range, huge,
+negative and non-finite flag values go through ``rotational``,
+``commrun``, ``thresholds`` and ``chsh --angles``.  Everything runs in
+process through ``cli.main``.  It must return 0, 2 or 3 and let no
+exception escape.  On exit 2 stdout is empty; on exit 3 stdout is empty (a
+numerical error) or holds the report of an ascent that did not converge.
+Reports are strict JSON (no NaN or Infinity) or CSV of finite numbers.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,3 +136,131 @@ def test_chsh_state(workdir, doc):
     if code == 0:
         report = strict_json(out)
         assert set(report) == {"b_value", "bound", "violated", "equality_probabilities"}
+
+
+# --- argument lists ----------------------------------------------------------
+#
+# Each draw starts from valid flag values and breaks any subset of them.
+# Values are passed as "--flag=value" (or with a leading space inside a
+# multi-value flag), so that a negative number in exponent form reaches the
+# command instead of being read as an option.  Valid draws stay small:
+# rotational N <= 6, commrun N <= 10 or in the closed-form range 13..20,
+# and at most 200 trials.
+
+huge = hs.sampled_from([10**9, -(10**9), 10**30, -(10**30)])
+junk = hs.sampled_from(["", "abc", "1e3", "0x10", "1.5"])
+non_finite = hs.sampled_from([math.nan, math.inf, -math.inf])
+big_floats = hs.sampled_from([1e308, -1e308, 5e-324, -0.0])
+seeds = hs.integers(0, 2**64)
+bad_seeds = hs.integers(-(2**64), -1) | junk
+
+
+@hs.composite
+def flag_values(draw, valid, invalid):
+    """One value per flag: valid ones, then a drawn subset broken."""
+    values = {flag: draw(strategy) for flag, strategy in valid.items()}
+    for flag in sorted(draw(hs.sets(hs.sampled_from(sorted(invalid))))):
+        values[flag] = draw(invalid[flag])
+    return values
+
+
+def flag_args(values):
+    return [f"{flag}={v if isinstance(v, str) else repr(v)}" for flag, v in values.items()]
+
+
+ROTATIONAL_KEYS = {"n", "v", "seed", "s_value", "e_max", "bound", "violated", "converged"}
+
+
+@FUZZ
+@given(
+    values=flag_values(
+        {"--n": hs.integers(2, 6), "--v": hs.floats(0.0, 1.0), "--seed": seeds},
+        {
+            "--n": hs.integers(-2, 1) | hs.sampled_from([11, 12]) | huge | junk,
+            "--v": hs.floats().filter(lambda v: not 0.0 <= v <= 1.0) | non_finite | junk,
+            "--seed": bad_seeds,
+        },
+    )
+)
+def test_rotational_argv(values):
+    code, out = run(["rotational", *flag_args(values)])
+    assert_contract(code, out)
+    if code == 0:
+        report = strict_json(out)
+        assert set(report) == ROTATIONAL_KEYS
+        assert [report["n"], report["v"], report["seed"]] == list(values.values())
+
+
+REPORT_KEYS = {"task", "n", "protocol", "fidelity", "success_prob", "stderr", "trials",
+               "classical_bound", "seed"}
+
+
+@FUZZ
+@given(
+    values=flag_values(
+        {
+            "--task": hs.sampled_from(["mod4", "mod4", "chsh-game"]),
+            "--n": hs.integers(2, 10) | hs.integers(13, 20),
+            "--trials": hs.integers(1, 200),
+            "--seed": seeds,
+        },
+        {
+            "--task": hs.just("other"),
+            "--n": hs.integers(-2, 1) | hs.just(21) | huge | junk,
+            "--trials": hs.integers(-3, 0) | hs.just(cli.MAX_TRIALS + 1) | huge | junk,
+            "--seed": bad_seeds,
+        },
+    ),
+    protocols=hs.lists(hs.sampled_from(["classical", "ghz", "sequential"]), min_size=1, max_size=3),
+)
+def test_commrun_argv(values, protocols):
+    code, out = run(["commrun", *flag_args(values), "--protocol", *protocols])
+    assert code in (0, 2)
+    assert_contract(code, out)
+    if code == 0:
+        doc = strict_json(out)
+        records = doc if isinstance(doc, list) else [doc]
+        assert [r["protocol"] for r in records] == protocols
+        assert all(set(r) == REPORT_KEYS for r in records)
+
+
+@hs.composite
+def threshold_range(draw):
+    n_min = draw(hs.integers(2, 20))
+    return {"--n-min": n_min, "--n-max": draw(hs.integers(n_min, 20))}
+
+
+@FUZZ
+@given(
+    valid=threshold_range(),
+    broken=flag_values({}, dict.fromkeys(["--n-min", "--n-max"], hs.integers(-3, 22) | huge | junk)),
+)
+def test_thresholds_argv(valid, broken):
+    values = {**valid, **broken}
+    code, out = run(["thresholds", *flag_args(values)])
+    assert code in (0, 2)
+    assert_contract(code, out)
+    if code == 0:
+        header, *rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert header == ["n", "standard_threshold", "rotational_threshold", "rotational_smaller"]
+        assert [int(r[0]) for r in rows] == list(range(values["--n-min"], values["--n-max"] + 1))
+        for r in rows:
+            assert all(math.isfinite(float(x)) for x in r[1:3])
+            assert r[3] in ("true", "false")
+
+
+@FUZZ
+@given(
+    values=flag_values(
+        {k: hs.floats(allow_nan=False, allow_infinity=False) | big_floats for k in range(4)},
+        {k: non_finite for k in range(4)},
+    )
+)
+def test_chsh_angles_argv(values):
+    angles = list(values.values())
+    code, out = run(["chsh", "--angles", *(f" {a!r}" for a in angles)])
+    # any finite angles give a report on the preset state
+    assert code == (0 if all(math.isfinite(a) for a in angles) else 2)
+    assert_contract(code, out)
+    if code == 0:
+        assert set(strict_json(out)) == {"b_value", "bound", "violated", "equality_probabilities"}

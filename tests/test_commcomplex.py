@@ -8,6 +8,11 @@ from bellkit import qstate as qs
 from oracles import tree_protocol_optimum
 
 
+def support_tuples(task):
+    """The promise inputs as bit tuples, in C order."""
+    return [tuple(x) for x in np.argwhere(task.support).tolist()]
+
+
 class TestMod4Task:
     def test_three_party_values(self):
         task = cc.make_mod4_task(3)
@@ -19,7 +24,7 @@ class TestMod4Task:
 
     def test_two_party_support(self):
         task = cc.make_mod4_task(2)
-        assert task.support_tuples() == [(0, 0), (1, 1)]
+        assert support_tuples(task) == [(0, 0), (1, 1)]
         assert task.f[0, 0] == 1.0 and task.f[1, 1] == -1.0
         assert task.p_prime[0, 0] == task.p_prime[1, 1] == 0.5
 
@@ -72,7 +77,7 @@ class TestReducedFidelity:
             f0 = cc.reduced_fidelity(task, cc.ClassicalStrategy(signs))
             f1 = cc.reduced_fidelity(task, cc.ClassicalStrategy(flipped))
             affected = 0.0
-            for x in task.support_tuples():
+            for x in support_tuples(task):
                 if x[k] != bit:
                     continue
                 prod = 1
@@ -168,6 +173,16 @@ class TestQuantumFidelity:
         with pytest.raises(ValueError, match="shape"):
             cc.quantum_fidelity_analytic(task, qs.make_ghz(3), np.zeros((2, 2, 3)))
 
+    def test_non_finite_setting(self):
+        task = cc.make_mod4_task(3)
+        for bad in (np.nan, np.inf):
+            settings = cc.mod4_settings(3)
+            settings[2, 1, 0] = bad
+            with pytest.raises(ValueError, match="unit 3-vector, got norm"):
+                cc.quantum_fidelity_analytic(task, qs.make_ghz(3), settings)
+            with pytest.raises(ValueError, match="unit 3-vector, got norm"):
+                cc.run_entangled_protocol(task, qs.make_ghz(3), settings, 10, seed=0)
+
 
 class TestEntangledProtocol:
     def test_mod4_ghz_always_correct(self):
@@ -224,7 +239,7 @@ class TestEntangledProtocol:
 
 def reference_draw(task, trials, seed):
     """Input draw with support tuples and per-tuple lookups."""
-    support = task.support_tuples()
+    support = support_tuples(task)
     weights = np.array([task.p_prime[x] for x in support])
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(len(support), size=trials, p=weights)

@@ -127,6 +127,16 @@ class TestCorrelationFunction:
         with pytest.raises(ValueError, match="unit"):
             ct.correlation_function(t, [[0, 0, 2], [0, 0, 1]])
 
+    def test_non_finite_direction(self):
+        t = ct.compute_tensor(qs.make_werner(0.5))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="unit 3-vector"):
+                ct.correlation_function(t, [[0, 0, 1], [bad, 0, 0]])
+
+    def test_tensor_rejects_nan(self):
+        with pytest.raises(ValueError, match="out of"):
+            ct.CorrelationTensor(1, [np.nan] * 4)
+
 
 class TestTensorDot:
     def test_singlet_norm(self):
@@ -214,6 +224,13 @@ class TestLocalFrame:
         axes[0, 0] = [1.0, 0.0, 0.0]
         axes[0, 1] = [1.0, 1e-6, 0.0]
         with pytest.raises(ValueError, match="orthonormal"):
+            ct.LocalFrame(axes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        axes = np.array(ct.xy_frame(2).axes)
+        axes[1, 1, 2] = bad
+        with pytest.raises(ValueError, match="unit 3-vector"):
             ct.LocalFrame(axes)
 
 

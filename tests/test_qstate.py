@@ -299,6 +299,34 @@ class TestMeasurementBasis:
             qs.measurement_distribution(qs.make_ghz(2), [[1, 0, 0], [0.5, 0, 0]])
 
 
+class TestUnitDirections:
+    """One fail-closed check: every direction must be a finite unit 3-vector."""
+
+    @pytest.mark.parametrize(
+        "bad, norm",
+        [([np.nan, 0, 0], "nan"), ([np.inf, 0, 0], "inf"), ([1e300, 1e300, 0], "inf"),
+         ([0, 0, 1 + 1e-9], "1.000000001")],
+    )
+    def test_check_unit_vector(self, bad, norm):
+        with pytest.raises(ValueError, match=f"unit 3-vector, got norm {norm}"):
+            qs.check_unit_vector(bad)
+
+    def test_names_first_bad_row(self):
+        dirs = np.array([[1.0, 0, 0], [0, 0.5, 0], [np.nan, 0, 0]])
+        with pytest.raises(ValueError, match="unit 3-vector, got norm 0.5$"):
+            qs.measurement_distribution(qs.make_ghz(3), dirs)
+        dirs[1] = [0, 1, 0]
+        with pytest.raises(ValueError, match="unit 3-vector, got norm nan$"):
+            qs.measurement_distribution(qs.make_ghz(3), dirs)
+
+    def test_one_check_per_distribution(self, monkeypatch):
+        calls = []
+        check = qs._check_unit_rows
+        monkeypatch.setattr(qs, "_check_unit_rows", lambda d: calls.append(d.shape) or check(d))
+        qs.measurement_distribution(qs.make_ghz(4), np.tile([0.0, 0.0, 1.0], (4, 1)))
+        assert calls == [(4, 3)]
+
+
 class TestMeasurementDistribution:
     def test_phi_plus_xx_perfectly_correlated(self):
         probs = qs.measurement_distribution(qs.make_ghz(2), [[1, 0, 0], [1, 0, 0]])
