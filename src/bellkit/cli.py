@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -178,8 +179,21 @@ def cmd_tensor_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any negative decimal literal as a number.
+
+    argparse itself takes only -<digits> and -<digits>.<digits> for negative
+    numbers, so a value such as -1e-05 was read as an unknown option and the
+    flag before it reported a missing argument.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellkit",
         description=(
             "Correlation-tensor Bell tests, communication-complexity games, "
@@ -251,6 +265,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "seed", 0) < 0:  # NumPy's own error names no flag
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

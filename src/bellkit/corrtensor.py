@@ -9,7 +9,6 @@ carry the N-party correlations contracted here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +276,14 @@ def max_product_value(
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:
     """Write one row per index tuple in C order: columns j1..jN then the value."""
     n = t.n_qubits
-    fh.write(",".join([f"j{k}" for k in range(1, n + 1)] + ["value"]) + "\r\n")
-    rows = zip(itertools.product("0123", repeat=n), t.values.reshape(-1).tolist())
-    fh.writelines(",".join((*idx, repr(v))) + "\r\n" for idx, v in rows)
+    # All rows as one %-template with a %r (float.__repr__) per value, so one
+    # C-level format call encodes the whole tensor.  Each pass prepends an
+    # index column that varies slower than those already there: C order.
+    body = "%r\r\n"
+    for _ in range(n):
+        rows = body[:-2]
+        body = "".join(
+            d + "," + rows.replace("\r\n", "\r\n" + d + ",") + "\r\n" for d in "0123"
+        )
+    header = ",".join([f"j{k}" for k in range(1, n + 1)] + ["value"])
+    fh.write((header + "\r\n" + body) % tuple(t.values.reshape(-1).tolist()))

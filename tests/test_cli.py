@@ -99,6 +99,11 @@ class TestChsh:
         assert proc.stdout == ""
         assert proc.stderr == f"error: --angles must be finite numbers, got {shown}\n"
 
+    def test_negative_angle_in_exponent_form_is_a_number(self, capsys):
+        code, out, _ = run_cli(capsys, "chsh", "--angles", "-1e-05", "0", "0", "0")
+        assert code == 0
+        assert (code, out) == run_cli(capsys, "chsh", "--angles", " -1e-05", "0", "0", "0")[:2]
+
 
 class TestRotational:
     def test_violated_case(self, capsys):
@@ -117,6 +122,11 @@ class TestRotational:
     def test_bad_visibility(self, capsys):
         code, _, err = run_cli(capsys, "rotational", "--n", "3", "--v", "1.5")
         assert code == 2
+
+    def test_negative_visibility_in_exponent_form_reaches_the_range_check(self, capsys):
+        code, out, err = run_cli(capsys, "rotational", "--n", "3", "--v", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == "error: visibility must be in [0, 1], got -0.001\n"
 
 
 class TestCommrun:
@@ -392,6 +402,19 @@ class TestOverflowingState:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("rotational", "--n", "3", "--v", "0.5"),
+         ("commrun", "--n", "3", "--protocol", "ghz"),
+         ("septest", "--state", "missing.json")],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_2_naming_the_flag(self, argv):
+        proc = run_process(*argv, "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
 

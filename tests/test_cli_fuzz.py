@@ -79,7 +79,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def strict_json(text):
@@ -102,7 +102,7 @@ def assert_contract(code, out):
 def test_tensor_export(workdir, doc):
     path = workdir / "state.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["tensor-export", "--state", str(path)])
+    code, out, _ = run(["tensor-export", "--state", str(path)])
     assert code in (0, 2)
     assert_contract(code, out)
 
@@ -120,7 +120,7 @@ def test_septest(workdir, data):
         metric_path = workdir / "metric.json"
         metric_path.write_text(json.dumps(metric))
         argv += ["--metric", str(metric_path)]
-    code, out = run(argv)
+    code, out, _ = run(argv)
     assert_contract(code, out)
     if code == 0:
         assert set(strict_json(out)) == {"norm_sq", "t_max", "detected", "margin", "converged", "seed"}
@@ -131,7 +131,7 @@ def test_septest(workdir, data):
 def test_chsh_state(workdir, doc):
     path = workdir / "state.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["chsh", "--state", str(path)])
+    code, out, _ = run(["chsh", "--state", str(path)])
     assert_contract(code, out)
     if code == 0:
         report = strict_json(out)
@@ -142,8 +142,8 @@ def test_chsh_state(workdir, doc):
 #
 # Each draw starts from valid flag values and breaks any subset of them.
 # Values are passed as "--flag=value" (or with a leading space inside a
-# multi-value flag), so that a negative number in exponent form reaches the
-# command instead of being read as an option.  Valid draws stay small:
+# multi-value flag), so that "-inf" reaches the command instead of being
+# read as an option.  Valid draws stay small:
 # rotational N <= 6, commrun N <= 10 or in the closed-form range 13..20,
 # and at most 200 trials.
 
@@ -168,6 +168,18 @@ def flag_args(values):
     return [f"{flag}={v if isinstance(v, str) else repr(v)}" for flag, v in values.items()]
 
 
+def assert_bad_seed_named(values, code, err):
+    """A negative or non-integer --seed exits 2 and names --seed, unless
+    argparse first rejects the text of another flag (junk, or an unknown task)."""
+    seed = values["--seed"]
+    if isinstance(seed, int) and seed >= 0:
+        return
+    assert code == 2
+    others = [v for flag, v in values.items() if flag != "--seed"]
+    if not any(isinstance(v, str) and v not in ("mod4", "chsh-game") for v in others):
+        assert "--seed" in err
+
+
 ROTATIONAL_KEYS = {"n", "v", "seed", "s_value", "e_max", "bound", "violated", "converged"}
 
 
@@ -183,8 +195,9 @@ ROTATIONAL_KEYS = {"n", "v", "seed", "s_value", "e_max", "bound", "violated", "c
     )
 )
 def test_rotational_argv(values):
-    code, out = run(["rotational", *flag_args(values)])
+    code, out, err = run(["rotational", *flag_args(values)])
     assert_contract(code, out)
+    assert_bad_seed_named(values, code, err)
     if code == 0:
         report = strict_json(out)
         assert set(report) == ROTATIONAL_KEYS
@@ -214,9 +227,10 @@ REPORT_KEYS = {"task", "n", "protocol", "fidelity", "success_prob", "stderr", "t
     protocols=hs.lists(hs.sampled_from(["classical", "ghz", "sequential"]), min_size=1, max_size=3),
 )
 def test_commrun_argv(values, protocols):
-    code, out = run(["commrun", *flag_args(values), "--protocol", *protocols])
+    code, out, err = run(["commrun", *flag_args(values), "--protocol", *protocols])
     assert code in (0, 2)
     assert_contract(code, out)
+    assert_bad_seed_named(values, code, err)
     if code == 0:
         doc = strict_json(out)
         records = doc if isinstance(doc, list) else [doc]
@@ -237,7 +251,7 @@ def threshold_range(draw):
 )
 def test_thresholds_argv(valid, broken):
     values = {**valid, **broken}
-    code, out = run(["thresholds", *flag_args(values)])
+    code, out, _ = run(["thresholds", *flag_args(values)])
     assert code in (0, 2)
     assert_contract(code, out)
     if code == 0:
@@ -258,7 +272,7 @@ def test_thresholds_argv(valid, broken):
 )
 def test_chsh_angles_argv(values):
     angles = list(values.values())
-    code, out = run(["chsh", "--angles", *(f" {a!r}" for a in angles)])
+    code, out, _ = run(["chsh", "--angles", *(f" {a!r}" for a in angles)])
     # any finite angles give a report on the preset state
     assert code == (0 if all(math.isfinite(a) for a in angles) else 2)
     assert_contract(code, out)

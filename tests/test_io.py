@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,11 +49,37 @@ class TestStateCodecs:
         )
 
     def test_tensor_csv_bytes(self, n, kind):
-        tensor = ct.compute_tensor(qs.as_density(seeded_state(n, kind)))
-        new, ref = io.StringIO(), io.StringIO()
-        ct.tensor_to_csv(tensor, new)
-        reference_tensor_to_csv(tensor, ref)
-        assert new.getvalue() == ref.getvalue()
+        assert_csv_matches_reference(ct.compute_tensor(qs.as_density(seeded_state(n, kind))))
+
+
+def assert_csv_matches_reference(tensor):
+    new, ref = io.StringIO(), io.StringIO()
+    ct.tensor_to_csv(tensor, new)
+    reference_tensor_to_csv(tensor, ref)
+    new_rows, ref_rows = new.getvalue().split("\r\n"), ref.getvalue().split("\r\n")
+    # report the first differing row: pytest's diff of two whole files is slow
+    bad = next(((i, a, b) for i, (a, b) in enumerate(zip(new_rows, ref_rows)) if a != b), None)
+    assert bad is None and len(new_rows) == len(ref_rows), bad
+
+
+# signed zeros, the ends of [-1, 1], both sides of repr's switch to exponent
+# form at 1e-4, the smallest subnormal and normal floats, and inexact fractions
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-4, math.nextafter(1e-4, 0.0), 1e-05, 5e-324,
+               2.2250738585072014e-308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tensor_csv_edge_values(n, value):
+    """The value at the first, a middle and the last index; the others cycle the list."""
+    flat = np.resize(EDGE_VALUES, 4**n)
+    flat[[0, 4**n // 2, -1]] = value
+    assert_csv_matches_reference(ct.CorrelationTensor(n, flat.reshape((4,) * n)))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_tensor_csv_bytes_large(n):
+    assert_csv_matches_reference(ct.compute_tensor(random_density(n, np.random.default_rng(n))))
 
 
 def seeded_metrics():
