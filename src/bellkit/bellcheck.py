@@ -16,13 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .corrtensor import (
-    DEFAULT_RESTARTS,
-    CorrelationTensor,
-    LocalFrame,
-    inplane_norm_sq,
-    max_product_value,
-)
+from .corrtensor import CorrelationTensor, LocalFrame, inplane_norm_sq, max_product_value
 from .qstate import DensityMatrix, make_ghz, measurement_distribution
 
 CHSH_TOL = 1e-10
@@ -137,15 +131,10 @@ class RotationalReport:
     converged: bool
 
 
-def rotational_test(
-    t: CorrelationTensor,
-    frame: LocalFrame,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> RotationalReport:
+def rotational_test(t: CorrelationTensor, frame: LocalFrame, seed: int = 0) -> RotationalReport:
     """Check S <= (4/pi)^N E_max for the tensor's in-plane components."""
     s_value = inplane_norm_sq(t, frame)
-    opt = max_product_value(t, frame=frame, seed=seed, restarts=restarts)
+    opt = max_product_value(t, frame=frame, seed=seed)
     bound = (4.0 / np.pi) ** t.n_qubits * opt.value
     return RotationalReport(
         s_value=float(s_value),

@@ -117,17 +117,10 @@ class ClassicalStrategy:
     def n_parties(self) -> int:
         return self.signs.shape[0]
 
-    def index(self) -> int:
-        """Encode as a 2N-bit integer: party 1 in the highest bit pair,
-        within a pair input 0 first; bit 0 encodes +1, bit 1 encodes -1."""
-        idx = 0
-        for cn in self.signs:
-            for s in cn:
-                idx = (idx << 1) | (1 if s == -1 else 0)
-        return idx
-
     @classmethod
     def from_index(cls, n_parties: int, index: int) -> "ClassicalStrategy":
+        """Decode a 2N-bit integer: party 1 in the highest bit pair, within
+        a pair input 0 first; bit 0 encodes +1, bit 1 encodes -1."""
         if not 0 <= index < 4**n_parties:
             raise ValueError(f"index must be in [0, 4^{n_parties}), got {index}")
         bits = [(index >> (2 * n_parties - 1 - i)) & 1 for i in range(2 * n_parties)]
@@ -152,7 +145,7 @@ _PARTY_STRATEGIES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
 def _all_strategy_fidelities(task: TaskSpec) -> np.ndarray:
     """Fidelity of every sign assignment, shape (4,)*n, C-ordered so that the
-    flat index equals ClassicalStrategy.index()."""
+    flat index i is the strategy ClassicalStrategy.from_index(n, i)."""
     # each x_k axis becomes the axis of the 4 sign functions on x_k
     return _per_party(task.g, [_PARTY_STRATEGIES] * task.n_parties)
 
@@ -341,24 +334,6 @@ def _require_mod4(task: TaskSpec) -> None:
         )
 
 
-def sequential_answer(x_bits, z_bits) -> int:
-    """Deterministic answer of the single-qubit protocol for one input.
-
-    The qubit picks up the phase pi z_k + (pi/2) x_k at partner k; on the
-    promise (even sum of x bits) the total is a multiple of pi and the
-    final +-basis measurement is certain.
-    """
-    x = np.asarray(x_bits, dtype=int)
-    z = np.asarray(z_bits, dtype=int)
-    if x.shape != z.shape or x.ndim != 1:
-        raise ValueError("x_bits and z_bits must be equal-length bit vectors")
-    if x.sum() % 2 != 0:
-        raise UnsupportedTaskError("input violates the even-parity promise")
-    phase = np.pi * z.sum() + (np.pi / 2) * x.sum()
-    cos = np.cos(phase)
-    return 1 if cos > 0 else -1
-
-
 def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolResult:
     """Entanglement-free protocol: one qubit hops through all partners.
 
@@ -382,18 +357,12 @@ def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolR
     return _make_result((targets * answers).astype(float))
 
 
-def chsh_game_equality_frequencies(
-    trials_per_pair: int, seed: int, settings=None
-) -> np.ndarray:
+def chsh_game_equality_frequencies(trials_per_pair: int, seed: int) -> np.ndarray:
     """Simulate the two-partner game; entry [x1, x2] is the observed
     frequency of equal answers, to be compared with chsh_game_target."""
     if trials_per_pair < 1:
         raise ValueError(f"trials_per_pair must be >= 1, got {trials_per_pair}")
-    s = (
-        chsh_game_settings()
-        if settings is None
-        else _check_settings(make_chsh_game(), settings)
-    )
+    s = chsh_game_settings()
     state = make_ghz(2)
     rng = np.random.default_rng(seed)
     freq = np.empty((2, 2))

@@ -239,10 +239,7 @@ def _ascend(
 
 
 def max_product_value(
-    t: CorrelationTensor,
-    frame: LocalFrame | None = None,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    t: CorrelationTensor, frame: LocalFrame | None = None, seed: int = 0
 ) -> MaxProductResult:
     """Maximize the correlation function over unit product directions.
 
@@ -250,9 +247,9 @@ def max_product_value(
     two-axis frame each party is restricted to its plane.  Alternating
     ascent: the optimal vector for one party given the others is the
     normalized partial contraction, so every step is exact and monotone.
-    Restarts are seeded from (seed, restart index); one extra start sits
-    on the axes of the largest-magnitude component so the result is never
-    below max |T| under the same restriction.
+    The DEFAULT_RESTARTS restarts are seeded from (seed, restart index);
+    one extra start sits on the axes of the largest-magnitude component so
+    the result is never below max |T| under the same restriction.
 
     Only the value is canonical: when several direction lists attain the
     maximum, the reported one depends on the seed.
@@ -269,7 +266,7 @@ def max_product_value(
         comps = frame_components(t, frame)
         best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
         axis_start = frame.axes[np.arange(n), list(best_idx)]
-    starts = np.concatenate([_random_starts(n, seed, restarts, frame), axis_start[None]])
+    starts = np.concatenate([_random_starts(n, seed, DEFAULT_RESTARTS, frame), axis_start[None]])
     return _ascend(proper, starts, frame)
 
 

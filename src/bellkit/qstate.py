@@ -133,10 +133,10 @@ def as_density(state) -> DensityMatrix:
     return state.projector() if isinstance(state, StateVector) else state
 
 
-def make_ghz(n: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits, 2 <= n <= max_qubits."""
-    if not 2 <= n <= max_qubits:
-        raise ValueError(f"GHZ size must be in [2, {max_qubits}], got {n}")
+def make_ghz(n: int) -> StateVector:
+    """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits, 2 <= n <= MAX_QUBITS."""
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"GHZ size must be in [2, {MAX_QUBITS}], got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return StateVector(n, amps)
@@ -176,11 +176,6 @@ def _check_bloch(bloch) -> np.ndarray:
     return b
 
 
-def bloch_qubit(bloch) -> np.ndarray:
-    """Single-qubit density matrix (I + b . sigma) / 2 for a Bloch vector b."""
-    return product_matrix([_check_bloch(bloch)])
-
-
 def product_matrix(blochs) -> np.ndarray:
     """Kronecker product of (I + b . sigma) / 2 over the Bloch vectors b,
     qubit 1 first.  The norms |b| <= 1 are not checked."""
@@ -198,8 +193,17 @@ def make_product(blochs) -> DensityMatrix:
     return DensityMatrix(len(blochs), product_matrix([_check_bloch(b) for b in blochs]))
 
 
+def _int_labels(values, name: str) -> tuple[int, ...]:
+    """values as Python ints; a ValueError naming ``name`` unless each one is
+    an int or a NumPy integer (bool is not)."""
+    vals = tuple(values)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in vals):
+        raise ValueError(f"{name} must be integers, got {vals!r}")
+    return tuple(int(v) for v in vals)
+
+
 def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
-    idx = tuple(int(j) for j in indices)
+    idx = _int_labels(indices, "Pauli indices")
     if len(idx) != n_qubits:
         raise ValueError(
             f"Pauli string length {len(idx)} does not match {n_qubits} qubits"
@@ -245,30 +249,22 @@ def pauli_expectation(rho: DensityMatrix, indices) -> float:
     return val.real
 
 
-def check_unit_vector(v, atol: float = 1e-12) -> np.ndarray:
-    return _check_unit_rows(np.asarray(v, dtype=float).reshape(3), atol)
-
-
-def _check_unit_rows(dirs: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _check_unit_rows(dirs: np.ndarray) -> np.ndarray:
     """dirs, a float array of 3-vectors along its last axis, if every one
-    has unit norm to atol; otherwise a ValueError naming the first bad
+    has unit norm to 1e-12; otherwise a ValueError naming the first bad
     norm.  Written fail-closed: NaN and infinite entries are rejected."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail below
         norms = np.linalg.norm(dirs, axis=-1)
-    bad = ~(np.abs(norms - 1.0) <= atol)
+    bad = ~(np.abs(norms - 1.0) <= 1e-12)
     if bad.any():
         raise ValueError(f"direction must be a unit 3-vector, got norm {float(norms[bad][0])!r}")
     return dirs
 
 
-def measurement_basis(direction) -> np.ndarray:
-    """Unitary whose columns are the +1 / -1 eigenvectors of n . sigma."""
-    return _measurement_bases(check_unit_vector(direction)[None])[0]
-
-
 def _measurement_bases(dirs: np.ndarray) -> np.ndarray:
-    """measurement_basis of every row of a (k, 3) array of unit vectors,
-    unchecked, in one pass; shape (k, 2, 2)."""
+    """For every row n of a (k, 3) array of unit vectors, unchecked, the
+    unitary whose columns are the +1 / -1 eigenvectors of n . sigma; shape
+    (k, 2, 2)."""
     nx, ny, nz = np.ascontiguousarray(dirs.T)
     theta = np.arccos(np.clip(nz, -1.0, 1.0))
     phi = np.arctan2(ny, nx)
@@ -318,11 +314,12 @@ def measurement_distribution(state, directions) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits except those in ``keep`` (1-based, ascending)."""
-    keep = sorted(int(k) for k in keep)
+    """Trace out all qubits except those in ``keep``: distinct integers in
+    1..N, in any order; the kept qubits stay in ascending order."""
+    keep = sorted(_int_labels(keep, "keep"))
     n = rho.n_qubits
-    if not keep or any(k < 1 or k > n for k in keep):
-        raise ValueError(f"keep must name qubits in 1..{n}, got {keep}")
+    if not keep or len(set(keep)) < len(keep) or any(k < 1 or k > n for k in keep):
+        raise ValueError(f"keep must name distinct qubits in 1..{n}, got {keep}")
     mat = rho.matrix.reshape((2,) * (2 * n))
     drop = [k - 1 for k in range(1, n + 1) if k not in keep]
     for count, q in enumerate(drop):
@@ -424,7 +421,16 @@ def save_state(path, state) -> None:
         fh.write("\n")
 
 
+def _load_json(fh, what: str):
+    """json.load(fh), with a ValueError in place of the RecursionError of a
+    document that nests too deeply."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{what} document nests too deeply") from None
+
+
 def load_state(path):
     with open(path, "r", encoding="utf-8") as fh:
         # no name holds the document, so state_from_json can free it
-        return state_from_json(json.load(fh))
+        return state_from_json(_load_json(fh, "state"))

@@ -10,7 +10,6 @@ tensor space extend this:  max over pure product states of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .qstate import (
     DensityMatrix,
     NumericalIntegrityError,
     _float_array,
+    _load_json,
     _require_positive,
     product_matrix,
 )
@@ -44,9 +44,7 @@ class SeparabilityReport:
     converged: bool
 
 
-def separability_check(
-    rho: DensityMatrix, seed: int = 0, restarts: int = DEFAULT_RESTARTS
-) -> SeparabilityReport:
+def separability_check(rho: DensityMatrix, seed: int = 0) -> SeparabilityReport:
     """Tensor-norm test: entangled if (T, T) exceeds T^max.
 
     A False verdict is inconclusive; a True verdict certifies
@@ -55,7 +53,7 @@ def separability_check(
     """
     t = compute_tensor(rho)
     norm_sq = tensor_dot(t, t)
-    opt = max_product_value(t, seed=seed, restarts=restarts)
+    opt = max_product_value(t, seed=seed)
     margin = norm_sq - opt.value
     return SeparabilityReport(
         norm_sq=float(norm_sq),
@@ -132,25 +130,21 @@ def identity_proper_metric(n_qubits: int) -> DiagonalMetric:
     return DiagonalMetric(n_qubits, w.reshape(-1))
 
 
-def rank_one_metric(direction: CorrelationTensor | np.ndarray, n_qubits: int | None = None) -> DenseMetric:
-    """Projector metric G = v v^T onto one generalized tensor coordinate.
+def rank_one_metric(direction: CorrelationTensor) -> DenseMetric:
+    """Projector metric G = v v^T onto the normalized components v of a
+    tensor, a direction in generalized tensor coordinates.
 
     A single axis-aligned coordinate can never detect (a product state
     reaches |T_J| = 1 on any axis), but a direction such as the
-    normalized tensor of the state under test can.
+    normalized tensor of the state under test can.  The components lie in
+    [-1, 1], so their norm is finite.
     """
-    if isinstance(direction, CorrelationTensor):
-        n_qubits = direction.n_qubits
-        v = direction.values.reshape(-1).astype(float)
-    else:
-        if n_qubits is None:
-            raise ValueError("n_qubits is required for a raw coordinate vector")
-        v = np.asarray(direction, dtype=float).reshape(-1)
+    v = direction.values.reshape(-1)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction must be non-zero")
     v = v / norm
-    return DenseMetric(n_qubits, np.outer(v, v))
+    return DenseMetric(direction.n_qubits, np.outer(v, v))
 
 
 @dataclass(frozen=True)
@@ -162,10 +156,7 @@ class IdentifierReport:
 
 
 def identifier_check(
-    rho_ent: DensityMatrix,
-    metric: MetricOperator,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    rho_ent: DensityMatrix, metric: MetricOperator, seed: int = 0
 ) -> IdentifierReport:
     """Metric-operator entanglement identifier.
 
@@ -187,7 +178,7 @@ def identifier_check(
         raise NumericalIntegrityError(
             f"identifier overflows: <t, G t> = {rhs!r}, |G t|^2 = {w_sq!r}"
         )
-    starts = _random_starts(t.n_qubits, seed, restarts)
+    starts = _random_starts(t.n_qubits, seed, DEFAULT_RESTARTS)
     hi = _ascend(w, starts.copy())
     lo = _ascend(-w, starts)
     lhs_max = max(hi.value, lo.value)
@@ -252,4 +243,4 @@ def metric_from_json(obj, n_qubits: int) -> MetricOperator:
 
 def load_metric(path, n_qubits: int) -> MetricOperator:
     with open(path, "r", encoding="utf-8") as fh:
-        return metric_from_json(json.load(fh), n_qubits)
+        return metric_from_json(_load_json(fh, "metric"), n_qubits)

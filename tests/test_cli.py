@@ -401,6 +401,30 @@ class TestOverflowingState:
         assert proc.stderr == "error: state not normalized: sum |amp|^2 = inf\n"
 
 
+class TestDeeplyNestedJson:
+    """json.load raises RecursionError on arrays nested ~2000 deep; the
+    loaders turn it into a usage error."""
+
+    NESTED = "[" * 2000 + "]" * 2000
+
+    @pytest.mark.parametrize("command", ["septest", "tensor-export", "chsh"])
+    def test_state_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "state.json"
+        path.write_text('{"n_qubits": 2, "kind": "pure", "data": ' + self.NESTED + "}")
+        code, out, err = run_cli(capsys, command, "--state", str(path))
+        assert (code, out, err) == (2, "", "error: state document nests too deeply\n")
+
+    def test_metric_file_exits_2(self, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        qs.save_state(state_path, qs.make_werner(0.5))
+        metric_path = tmp_path / "metric.json"
+        metric_path.write_text('{"kind": "diagonal", "weights": ' + self.NESTED + "}")
+        code, out, err = run_cli(
+            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+        )
+        assert (code, out, err) == (2, "", "error: metric document nests too deeply\n")
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

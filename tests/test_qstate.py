@@ -102,6 +102,11 @@ class TestMakeProduct:
             assert qs.pauli_expectation(rho, idx) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_kronecker(self):
+        sigma = [
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.array([[1, 0], [0, -1]]),
+        ]
         rng = np.random.default_rng(11)
         for _ in range(20):
             blochs = rng.normal(size=(3, 3))
@@ -109,10 +114,8 @@ class TestMakeProduct:
                 blochs, axis=1, keepdims=True
             )
             rho = qs.make_product(blochs)
-            ref = np.kron(
-                np.kron(qs.bloch_qubit(blochs[0]), qs.bloch_qubit(blochs[1])),
-                qs.bloch_qubit(blochs[2]),
-            )
+            qubits = [0.5 * (np.eye(2) + sum(c * s for c, s in zip(b, sigma))) for b in blochs]
+            ref = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
             assert np.max(np.abs(rho.matrix - ref)) < 1e-12
 
     def test_bloch_norm_check(self):
@@ -156,6 +159,20 @@ class TestPauliExpectation:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             qs.pauli_expectation(qs.make_werner(0.5), (1, 4))
+
+    @pytest.mark.parametrize(
+        "idx", [[1.7, 0, 0], ["1", 0, 0], [True, 0, 3], [1.0, 0, 0], [np.float64(1), 0, 0], "103"]
+    )
+    def test_non_integer_index_rejected(self, idx):
+        rho = qs.make_noisy_ghz(3, 0.5)
+        with pytest.raises(ValueError, match="^Pauli indices must be integers"):
+            qs.pauli_expectation(rho, idx)
+
+    def test_numpy_integer_indices(self):
+        rho = qs.make_noisy_ghz(3, 0.5)
+        assert qs.pauli_expectation(rho, np.array([1, 1, 0])) == qs.pauli_expectation(
+            rho, (1, 1, 0)
+        )
 
     def test_imaginary_residue_raises(self):
         # a non-Hermitian matrix that skipped validation: Tr(rho X) = 0.5j
@@ -260,8 +277,9 @@ class TestPositivity:
 
 
 def reference_measurement_basis(direction):
-    """measurement_basis as one scalar computation per direction."""
-    nx, ny, nz = qs.check_unit_vector(direction)
+    """The eigenbasis of n . sigma as one scalar computation per direction."""
+    nx, ny, nz = direction
+    assert abs(np.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-12
     theta = np.arccos(np.clip(nz, -1.0, 1.0))
     phi = np.arctan2(ny, nx)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -284,8 +302,6 @@ class TestMeasurementBasis:
     def test_bit_equal_to_scalar_formula(self):
         dirs = self.directions()
         expected = np.array([reference_measurement_basis(d) for d in dirs])
-        single = np.array([qs.measurement_basis(d) for d in dirs])
-        assert single.tobytes() == expected.tobytes()
         for k in (1, 2, 3, 10):
             batched = np.concatenate(
                 [qs._measurement_bases(dirs[i : i + k]) for i in range(0, len(dirs), k)]
@@ -293,8 +309,6 @@ class TestMeasurementBasis:
             assert batched.tobytes() == expected.tobytes()
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="unit 3-vector"):
-            qs.measurement_basis([1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="unit 3-vector"):
             qs.measurement_distribution(qs.make_ghz(2), [[1, 0, 0], [0.5, 0, 0]])
 
@@ -309,7 +323,7 @@ class TestUnitDirections:
     )
     def test_check_unit_vector(self, bad, norm):
         with pytest.raises(ValueError, match=f"unit 3-vector, got norm {norm}"):
-            qs.check_unit_vector(bad)
+            qs._check_unit_rows(np.asarray(bad, float)[None])
 
     def test_names_first_bad_row(self):
         dirs = np.array([[1.0, 0, 0], [0, 0.5, 0], [np.nan, 0, 0]])
@@ -389,6 +403,19 @@ class TestPartialTrace:
         right = qs.partial_trace(rho, [2])
         assert np.allclose(left.matrix, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(right.matrix, np.full((2, 2), 0.5), atol=1e-12)
+
+    def test_keep_order_and_numpy_integers(self):
+        rho = random_density(3, np.random.default_rng(5))
+        ref = qs.partial_trace(rho, [1, 3]).matrix
+        for keep in ([3, 1], np.array([1, 3]), [np.int64(3), np.int8(1)]):
+            assert qs.partial_trace(rho, keep).matrix.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "keep", [[1, 1], [2, 1, 2], [1.5], [1.0], ["1"], [True], [np.float64(1.0)], [], [0], [4]]
+    )
+    def test_keep_must_be_distinct_integer_qubits(self, keep):
+        with pytest.raises(ValueError, match="^keep must"):
+            qs.partial_trace(random_density(3, np.random.default_rng(5)), keep)
 
 
 class TestStateJson:

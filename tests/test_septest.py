@@ -299,11 +299,11 @@ class TestIdentifierMatchesReferenceAscent:
                 metric = st.identity_proper_metric(n)
             else:
                 metric = st.rank_one_metric(ct.compute_tensor(random_density(n, rng)))
-            seed, restarts = 10 * n + trial, 4 + 3 * trial
-            rep = st.identifier_check(rho, metric, seed=seed, restarts=restarts)
+            seed = 10 * n + trial
+            rep = st.identifier_check(rho, metric, seed=seed)
             w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
-            hi, conv_hi = reference_product_ascent(w, seed, restarts)
-            lo, conv_lo = reference_product_ascent(-w, seed, restarts)
+            hi, conv_hi = reference_product_ascent(w, seed, ct.DEFAULT_RESTARTS)
+            lo, conv_lo = reference_product_ascent(-w, seed, ct.DEFAULT_RESTARTS)
             assert rep.lhs_max == max(hi, lo)
             assert rep.converged == (conv_hi and conv_lo)
 
