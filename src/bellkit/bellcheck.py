@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import CorrelationTensor, LocalFrame, inplane_norm_sq, max_product_value
-from .qstate import DensityMatrix, make_ghz, measurement_distribution
+from .qstate import DensityMatrix, _check_count, make_ghz, measurement_distribution
 
 CHSH_TOL = 1e-10
 ROTATIONAL_TOL = 1e-9
@@ -151,8 +151,7 @@ def ghz_thresholds(n: int) -> dict:
     standard:   v >= 2^-(n-1)/2   (two-setting inequalities)
     rotational: v >  2 (2/pi)^n   (in-plane tensor bound)
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 parties, got {n}")
+    n = _check_count(n, "n_parties", 2)
     return {
         "standard": 2.0 ** (-(n - 1) / 2.0),
         "rotational": 2.0 * (2.0 / np.pi) ** n,
@@ -161,10 +160,8 @@ def ghz_thresholds(n: int) -> dict:
 
 def threshold_rows(n_min: int, n_max: int) -> list:
     """Rows (n, standard, rotational, rotational_smaller) for n in range."""
-    if not 2 <= n_min <= n_max <= 20:
-        raise ValueError(
-            f"need 2 <= n_min <= n_max <= 20, got n_min={n_min}, n_max={n_max}"
-        )
+    n_min = _check_count(n_min, "n_min", 2, 20)
+    n_max = _check_count(n_max, "n_max", n_min, 20)
     rows = []
     for n in range(n_min, n_max + 1):
         th = ghz_thresholds(n)

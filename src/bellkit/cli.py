@@ -72,8 +72,6 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_rotational(args) -> int:
-    if not 0.0 <= args.v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {args.v}")
     tensor = corrtensor.compute_tensor(qstate.make_noisy_ghz(args.n, args.v))
     frame = corrtensor.xy_frame(args.n)
     report = bellcheck.rotational_test(tensor, frame, seed=args.seed)

@@ -16,7 +16,8 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import compute_tensor
-from .qstate import _check_unit_rows, _per_party, as_density, make_ghz, measurement_distribution
+from .qstate import _check_count, _check_party_match, _check_unit_rows, _per_party
+from .qstate import as_density, make_ghz, measurement_distribution
 
 MAX_EXHAUSTIVE_PARTIES = 12
 
@@ -40,23 +41,22 @@ class TaskSpec:
     support: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_parties)
-        if n < 2:
-            raise ValueError(f"need at least 2 parties, got {n}")
+        n = _check_count(self.n_parties, "n_parties", 2)
         shape = (2,) * n
         f = np.asarray(self.f, dtype=float)
         p = np.asarray(self.p_prime, dtype=float)
         sup = np.asarray(self.support, dtype=bool)
         if f.shape != shape or p.shape != shape or sup.shape != shape:
             raise ValueError(f"f, p_prime and support must all have shape {shape}")
-        if np.any(p < 0):
+        # every check is written fail-closed, so that NaN is rejected
+        if not np.all(p >= 0):
             raise ValueError("p_prime must be non-negative")
-        if np.any(p[~sup] != 0):
+        if not np.all(p[~sup] == 0):
             raise ValueError("p_prime must vanish off the promise support")
         total = float(p[sup].sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"p_prime must sum to 1 on the support, got {total!r}")
-        if np.any(np.abs(np.abs(f[sup]) - 1.0) > 0):
+        if not np.all(np.abs(f[sup]) == 1.0):
             raise ValueError("f must be +1 or -1 on every support tuple")
         for arr in (f, p, sup):
             arr.setflags(write=False)
@@ -67,8 +67,9 @@ class TaskSpec:
 
     @property
     def g(self) -> np.ndarray:
-        """Weight tensor g = f * p_prime."""
-        return self.f * self.p_prime
+        """Weight tensor g = f * p_prime, zero off the support whatever f is
+        there (NaN included)."""
+        return np.where(self.support, self.f, 0.0) * self.p_prime
 
 
 def make_mod4_task(n: int) -> TaskSpec:
@@ -77,8 +78,7 @@ def make_mod4_task(n: int) -> TaskSpec:
     Promise: sum of the x bits is even.  On the support
     f = cos(pi/2 sum x) = +-1 and p' = 2^(1-n) |f| is uniform.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 parties, got {n}")
+    n = _check_count(n, "n_parties", 2)
     sums = np.zeros((2,) * n, dtype=int)
     for k in range(n):
         shape = [1] * n
@@ -121,8 +121,8 @@ class ClassicalStrategy:
     def from_index(cls, n_parties: int, index: int) -> "ClassicalStrategy":
         """Decode a 2N-bit integer: party 1 in the highest bit pair, within
         a pair input 0 first; bit 0 encodes +1, bit 1 encodes -1."""
-        if not 0 <= index < 4**n_parties:
-            raise ValueError(f"index must be in [0, 4^{n_parties}), got {index}")
+        n_parties = _check_count(n_parties, "n_parties", 1)
+        index = _check_count(index, "index", 0, 4**n_parties - 1)
         bits = [(index >> (2 * n_parties - 1 - i)) & 1 for i in range(2 * n_parties)]
         signs = 1 - 2 * np.array(bits).reshape(n_parties, 2)
         return cls(signs)
@@ -130,11 +130,7 @@ class ClassicalStrategy:
 
 def reduced_fidelity(task: TaskSpec, strategy: ClassicalStrategy) -> float:
     """F = sum_x g(x) prod_n c_n(x_n) for one sign assignment."""
-    if strategy.n_parties != task.n_parties:
-        raise ValueError(
-            f"party count mismatch: task has {task.n_parties}, "
-            f"strategy has {strategy.n_parties}"
-        )
+    _check_party_match("task", task.n_parties, "strategy", strategy.n_parties)
     return float(_per_party(task.g, strategy.signs.astype(float)))
 
 
@@ -189,7 +185,7 @@ def mod4_settings(n: int) -> np.ndarray:
     With the n-qubit GHZ state the product of outcomes equals
     cos(pi/2 sum x) = f on every promise input, so the protocol is exact.
     """
-    angles = np.array([[0.0, np.pi / 2]] * n)
+    angles = np.array([[0.0, np.pi / 2]] * _check_count(n, "n_parties", 2))
     out = np.zeros((n, 2, 3))
     out[:, :, 0] = np.cos(angles)
     out[:, :, 1] = np.sin(angles)
@@ -213,7 +209,10 @@ def chsh_game_target(x1: int, x2: int) -> float:
     return 0.5 + 0.5 * np.cos(-np.pi / 4 + (np.pi / 2) * (x1 + x2))
 
 
-def _check_settings(task: TaskSpec, settings) -> np.ndarray:
+def _check_settings(task: TaskSpec, state, settings) -> np.ndarray:
+    """The settings as a checked (n_parties, 2, 3) array of unit vectors,
+    once the state has the task's party count."""
+    _check_party_match("task", task.n_parties, "state", state.n_qubits)
     s = np.asarray(settings, dtype=float)
     if s.shape != (task.n_parties, 2, 3):
         raise ValueError(
@@ -225,12 +224,7 @@ def _check_settings(task: TaskSpec, settings) -> np.ndarray:
 def quantum_fidelity_analytic(task: TaskSpec, state, settings) -> float:
     """F = sum_x g(x) E(x), with E(x) = <prod_k n_k(x_k).sigma> for every x
     from one contraction of the correlation tensor with the settings."""
-    if state.n_qubits != task.n_parties:
-        raise ValueError(
-            f"party count mismatch: task has {task.n_parties}, "
-            f"state has {state.n_qubits} qubits"
-        )
-    s = _check_settings(task, settings)
+    s = _check_settings(task, state, settings)
     e = _per_party(compute_tensor(as_density(state)).proper, s)
     # f is ignored off the support, so sum only there
     return float(np.sum(task.g[task.support] * e[task.support]))
@@ -290,12 +284,7 @@ def run_entangled_protocol(
     each send the single bit m_k = y_k gamma_k, and let the last partner
     announce A = y_N gamma_N prod m_k.  The score of a trial is T * A.
     """
-    if state.n_qubits != task.n_parties:
-        raise ValueError(
-            f"party count mismatch: task has {task.n_parties}, "
-            f"state has {state.n_qubits} qubits"
-        )
-    s = _check_settings(task, settings)
+    s = _check_settings(task, state, settings)
     n = task.n_parties
     support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
 
@@ -377,7 +366,6 @@ def chsh_game_equality_frequencies(trials_per_pair: int, seed: int) -> np.ndarra
 
 def mod4_classical_bound(n: int) -> float:
     """B(N) = 2^(1-K) with K = N/2 for even N and (N+1)/2 for odd N."""
-    if n < 2:
-        raise ValueError(f"need at least 2 parties, got {n}")
+    n = _check_count(n, "n_parties", 2)
     k = n // 2 if n % 2 == 0 else (n + 1) // 2
     return 2.0 ** (1 - k)

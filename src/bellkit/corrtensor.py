@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULI, DensityMatrix, NumericalIntegrityError
-from .qstate import _PAULI_PAIRS, _check_unit_rows, _pair_axes, _per_party
+from .qstate import MAX_QUBITS, PAULI, DensityMatrix, NumericalIntegrityError
+from .qstate import _PAULI_PAIRS, _check_count, _check_party_match, _check_unit_rows
+from .qstate import _pair_axes, _per_party
 
 DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-12
@@ -29,7 +30,7 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
+        n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (4,) * n:
             raise ValueError(f"values must have shape {(4,) * n}, got {vals.shape}")
@@ -77,7 +78,7 @@ class LocalFrame:
 
 def xy_frame(n_parties: int) -> LocalFrame:
     """The standard frame with axes x, y for every party."""
-    ax = np.zeros((n_parties, 2, 3))
+    ax = np.zeros((_check_count(n_parties, "n_parties", 1, MAX_QUBITS), 2, 3))
     ax[:, 0, 0] = 1.0
     ax[:, 1, 1] = 1.0
     return LocalFrame(ax)
@@ -116,31 +117,24 @@ def tensor_to_density(t: CorrelationTensor) -> DensityMatrix:
     return DensityMatrix(n, mat)
 
 
-def _check_party_count(t: CorrelationTensor, other: int, what: str) -> None:
-    if t.n_qubits != other:
-        raise ValueError(
-            f"party count mismatch: tensor has {t.n_qubits}, {what} has {other}"
-        )
-
-
 def correlation_function(t: CorrelationTensor, directions) -> float:
     """Contract the proper components with one unit 3-vector per party."""
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
-    _check_party_count(t, dirs.shape[0], "direction list")
+    _check_party_match("tensor", t.n_qubits, "direction list", dirs.shape[0])
     return float(_per_party(t.proper, _check_unit_rows(dirs)))
 
 
 def tensor_dot(s: CorrelationTensor, q: CorrelationTensor) -> float:
     """Scalar product over proper components only."""
-    _check_party_count(s, q.n_qubits, "second tensor")
+    _check_party_match("tensor", s.n_qubits, "second tensor", q.n_qubits)
     return float(np.sum(s.proper * q.proper))
 
 
 def frame_components(t: CorrelationTensor, frame: LocalFrame) -> np.ndarray:
     """Tensor components along the frame axes: an (n_axes,)*N array."""
-    _check_party_count(t, frame.n_parties, "frame")
+    _check_party_match("tensor", t.n_qubits, "frame", frame.n_parties)
     return _per_party(t.proper, frame.axes)
 
 
@@ -262,7 +256,6 @@ def max_product_value(
     else:
         if frame.n_axes != 2:
             raise ValueError("plane restriction needs a frame with 2 axes per party")
-        _check_party_count(t, frame.n_parties, "frame")
         comps = frame_components(t, frame)
         best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
         axis_start = frame.axes[np.arange(n), list(best_idx)]

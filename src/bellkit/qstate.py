@@ -38,11 +38,42 @@ class NumericalIntegrityError(ArithmeticError):
     probability or an overflow."""
 
 
-def _check_n_qubits(n: int) -> int:
-    n = int(n)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
-    return n
+def _is_int(v) -> bool:
+    """v is an int or a NumPy integer; bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_labels(values, name: str) -> tuple[int, ...]:
+    """values as Python ints; a ValueError naming ``name`` unless each one is
+    an int or a NumPy integer (bool is not)."""
+    vals = tuple(values)
+    if not all(map(_is_int, vals)):
+        raise ValueError(f"{name} must be integers, got {vals!r}")
+    return tuple(int(v) for v in vals)
+
+
+def _check_count(count, name: str, lo: int, hi: int | None = None) -> int:
+    """A count (of qubits, parties, terms) or an index as a Python int; a
+    ValueError naming ``name`` unless it is an int or a NumPy integer (bool
+    is not) in [lo, hi], or at least lo when hi is None."""
+    if not _is_int(count):
+        raise ValueError(f"{name} must be an integer")
+    if hi is None and not lo <= count:
+        raise ValueError(f"{name} must be at least {lo}, got {count}")
+    if hi is not None and not lo <= count <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {count}")
+    return int(count)
+
+
+def _check_party_match(first: str, n: int, second: str, m: int) -> None:
+    """A ValueError unless the two named objects have as many parties."""
+    if n != m:
+        raise ValueError(f"party count mismatch: {first} has {n}, {second} has {m}")
+
+
+def _check_visibility(v: float) -> None:
+    if not 0.0 <= v <= 1.0:  # fail-closed: NaN is rejected
+        raise ValueError(f"visibility must be in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +84,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_qubits(self.n_qubits)
+        n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2**n,):
             raise ValueError(
@@ -86,7 +117,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_qubits(self.n_qubits)
+        n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**n
         if mat.shape != (dim, dim):
@@ -135,8 +166,7 @@ def as_density(state) -> DensityMatrix:
 
 def make_ghz(n: int) -> StateVector:
     """GHZ state (|0...0> + |1...1>)/sqrt(2) on n qubits, 2 <= n <= MAX_QUBITS."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"GHZ size must be in [2, {MAX_QUBITS}], got {n}")
+    n = _check_count(n, "GHZ size", 2, MAX_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return StateVector(n, amps)
@@ -144,8 +174,7 @@ def make_ghz(n: int) -> StateVector:
 
 def make_noisy_ghz(n: int, v: float) -> DensityMatrix:
     """Mixture v |GHZ><GHZ| + (1 - v) I / 2^n with visibility v in [0, 1]."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
+    _check_visibility(v)
     ghz = make_ghz(n)
     dim = 2**n
     mat = v * np.outer(ghz.amplitudes, ghz.amplitudes.conj())
@@ -159,8 +188,7 @@ def make_werner(v: float) -> DensityMatrix:
     The maximally entangled component is the singlet (|01> - |10>)/sqrt(2),
     whose proper correlation tensor is diag(-1, -1, -1).
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
+    _check_visibility(v)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)
@@ -191,15 +219,6 @@ def make_product(blochs) -> DensityMatrix:
     if len(blochs) == 0:
         raise ValueError("need at least one Bloch vector")
     return DensityMatrix(len(blochs), product_matrix([_check_bloch(b) for b in blochs]))
-
-
-def _int_labels(values, name: str) -> tuple[int, ...]:
-    """values as Python ints; a ValueError naming ``name`` unless each one is
-    an int or a NumPy integer (bool is not)."""
-    vals = tuple(values)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in vals):
-        raise ValueError(f"{name} must be integers, got {vals!r}")
-    return tuple(int(v) for v in vals)
 
 
 def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
@@ -380,11 +399,7 @@ def state_from_json(obj):
     for field in ("n_qubits", "kind", "data"):
         if field not in obj:
             raise ValueError(f"missing field '{field}'")
-    n = obj["n_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("field 'n_qubits' must be an integer")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"field 'n_qubits' must be in [1, {MAX_QUBITS}], got {n}")
+    n = _check_count(obj["n_qubits"], "field 'n_qubits'", 1, MAX_QUBITS)
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError("field 'kind' must be 'pure' or 'mixed'")

@@ -24,8 +24,11 @@ from .corrtensor import (
     tensor_dot,
 )
 from .qstate import (
+    MAX_QUBITS,
     DensityMatrix,
     NumericalIntegrityError,
+    _check_count,
+    _check_party_match,
     _float_array,
     _load_json,
     _require_positive,
@@ -84,15 +87,14 @@ class DiagonalMetric(MetricOperator):
     """Metric with one non-negative weight per tensor coordinate."""
 
     def __init__(self, n_qubits: int, weights):
+        n = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
         w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != (4**n_qubits,):
-            raise ValueError(
-                f"need {4**n_qubits} weights for {n_qubits} qubits, got {w.size}"
-            )
+        if w.shape != (4**n,):
+            raise ValueError(f"need {4**n} weights for {n} qubits, got {w.size}")
         if not np.min(w) >= -1e-10:
             raise ValueError(f"metric weights must be non-negative, min = {w.min():g}")
         w.setflags(write=False)
-        self.n_qubits = int(n_qubits)
+        self.n_qubits = n
         self.weights = w
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
@@ -103,7 +105,8 @@ class DenseMetric(MetricOperator):
     """Metric stored as a dense symmetric positive semidefinite matrix."""
 
     def __init__(self, n_qubits: int, matrix):
-        dim = 4**n_qubits
+        n = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
+        dim = 4**n
         m = np.asarray(matrix, dtype=float)
         if m.shape != (dim, dim):
             raise ValueError(f"metric matrix must be {dim}x{dim}, got {m.shape}")
@@ -112,7 +115,7 @@ class DenseMetric(MetricOperator):
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
         _require_positive(m, "metric not non-negative: min eigenvalue {:g}")
         m.setflags(write=False)
-        self.n_qubits = int(n_qubits)
+        self.n_qubits = n
         self.matrix = m
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
@@ -122,6 +125,7 @@ class DenseMetric(MetricOperator):
 def identity_proper_metric(n_qubits: int) -> DiagonalMetric:
     """Weight 1 on every proper coordinate, 0 elsewhere; with this metric
     the identifier check reduces to the tensor-norm test."""
+    n_qubits = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
     w = np.ones((4,) * n_qubits)
     for k in range(n_qubits):
         idx = [slice(None)] * n_qubits
@@ -164,10 +168,7 @@ def identifier_check(
     states falls short of <t_ent, G t_ent>, which is impossible for a
     separable t_ent.
     """
-    if metric.n_qubits != rho_ent.n_qubits:
-        raise ValueError(
-            f"metric is for {metric.n_qubits} qubits, state has {rho_ent.n_qubits}"
-        )
+    _check_party_match("state", rho_ent.n_qubits, "metric", metric.n_qubits)
     t = compute_tensor(rho_ent)
     w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
     with np.errstate(over="ignore"):  # reported below
@@ -197,8 +198,8 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
     Bloch vectors are uniform on the sphere, weights uniform on the
     simplex; the result is separable by construction.
     """
-    if k_terms < 1:
-        raise ValueError(f"k_terms must be >= 1, got {k_terms}")
+    n = _check_count(n, "n_qubits", 1, MAX_QUBITS)
+    k_terms = _check_count(k_terms, "k_terms", 1)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k_terms))
     mat = np.zeros((2**n, 2**n), dtype=complex)
@@ -236,6 +237,9 @@ def metric_from_json(obj, n_qubits: int) -> MetricOperator:
     arr = _float_array(obj[field])
     if arr is None or not np.all(np.isfinite(arr)):
         raise ValueError(f"field '{field}' must hold finite numbers only")
+    if arr.ndim != (1 if kind == "diagonal" else 2):
+        form = "a flat list" if kind == "diagonal" else "a list of rows"
+        raise ValueError(f"field '{field}' must be {form} of numbers")
     if kind == "diagonal":
         return DiagonalMetric(n_qubits, arr)
     return DenseMetric(n_qubits, arr)

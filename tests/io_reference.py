@@ -81,9 +81,15 @@ def reference_metric_from_json(obj, n_qubits: int):
         raise ValueError("metric document must be a JSON object")
     kind = obj.get("kind")
     if kind == "diagonal":
-        return DiagonalMetric(n_qubits, reference_finite_field(obj, "weights"))
+        weights = reference_finite_field(obj, "weights")
+        if weights.ndim != 1:
+            raise ValueError("field 'weights' must be a flat list of numbers")
+        return DiagonalMetric(n_qubits, weights)
     if kind == "dense":
-        return DenseMetric(n_qubits, reference_finite_field(obj, "matrix"))
+        matrix = reference_finite_field(obj, "matrix")
+        if matrix.ndim != 2:
+            raise ValueError("field 'matrix' must be a list of rows of numbers")
+        return DenseMetric(n_qubits, matrix)
     raise ValueError("field 'kind' must be 'diagonal' or 'dense'")
 
 

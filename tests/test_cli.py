@@ -343,6 +343,26 @@ class TestSeptest:
         field = "weights" if "diagonal" in metric else "matrix"
         assert f"field '{field}' must hold finite numbers" in err
 
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ({"kind": "diagonal", "weights": [[1, 1, 1, 1]] * 4},
+             "field 'weights' must be a flat list of numbers"),
+            ({"kind": "dense", "matrix": [1.0] + [0.0] * 255},
+             "field 'matrix' must be a list of rows of numbers"),
+        ],
+        ids=["nested-weights", "flat-matrix"],
+    )
+    def test_metric_nesting_exits_2(self, tmp_path, capsys, metric, message):
+        # 16 weights in four rows would fill a two-qubit metric if flattened
+        state_path = tmp_path / "state.json"
+        qs.save_state(state_path, qs.make_werner(0.5))
+        metric_path = tmp_path / "metric.json"
+        metric_path.write_text(json.dumps(metric))
+        code, out, err = run_cli(
+            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "weights",

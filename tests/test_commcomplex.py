@@ -41,6 +41,29 @@ class TestMod4Task:
         with pytest.raises(ValueError, match="sum to 1"):
             cc.TaskSpec(2, f, p, np.ones((2, 2), dtype=bool))
 
+    @pytest.mark.parametrize(
+        "field, on_support, message",
+        [
+            ("f", True, r"f must be \+1 or -1"),
+            ("p_prime", True, "p_prime must be non-negative"),
+            ("p_prime", False, "p_prime must be non-negative"),
+        ],
+    )
+    def test_nan_is_rejected(self, field, on_support, message):
+        # the mod-4 task on 2 partners: support (0, 0) and (1, 1)
+        task = cc.make_mod4_task(2)
+        arrays = {"f": task.f.copy(), "p_prime": task.p_prime.copy()}
+        arrays[field][(0, 0) if on_support else (0, 1)] = np.nan
+        with pytest.raises(ValueError, match=message):
+            cc.TaskSpec(2, arrays["f"], arrays["p_prime"], task.support)
+
+    def test_nan_f_off_support_is_ignored(self):
+        base = cc.make_mod4_task(3)
+        task = cc.TaskSpec(3, np.where(base.support, base.f, np.nan), base.p_prime, base.support)
+        assert np.array_equal(task.g, base.g)
+        opt, ref = cc.classical_optimum(task), cc.classical_optimum(base)
+        assert (opt.f_star, opt.index) == (ref.f_star, ref.index)
+
 
 class TestReducedFidelity:
     def test_all_plus_strategy_two_parties(self):
