@@ -16,11 +16,8 @@ from .qstate import (
     load_state,
     make_ghz,
     make_noisy_ghz,
-    make_product,
     make_werner,
     measurement_distribution,
-    partial_trace,
-    pauli_expectation,
     save_state,
     state_from_json,
     state_to_json,
@@ -30,12 +27,10 @@ from .corrtensor import (
     LocalFrame,
     MaxProductResult,
     compute_tensor,
-    correlation_function,
     inplane_norm_sq,
     max_product_value,
     tensor_dot,
     tensor_to_csv,
-    tensor_to_density,
     xy_frame,
 )
 from .bellcheck import (
@@ -63,7 +58,6 @@ from .commcomplex import (
     mod4_classical_bound,
     mod4_settings,
     quantum_fidelity_analytic,
-    reduced_fidelity,
     run_entangled_protocol,
     run_sequential_protocol,
 )
@@ -77,7 +71,6 @@ from .septest import (
     identity_proper_metric,
     load_metric,
     metric_from_json,
-    metric_to_json,
     random_separable,
     rank_one_metric,
     separability_check,

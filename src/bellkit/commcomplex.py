@@ -49,8 +49,9 @@ class TaskSpec:
         if f.shape != shape or p.shape != shape or sup.shape != shape:
             raise ValueError(f"f, p_prime and support must all have shape {shape}")
         # every check is written fail-closed, so that NaN is rejected
-        if not np.all(p >= 0):
-            raise ValueError("p_prime must be non-negative")
+        bad = p[~(p >= 0)]
+        if bad.size:
+            raise ValueError(f"p_prime must be non-negative, got {bad[0]}")
         if not np.all(p[~sup] == 0):
             raise ValueError("p_prime must vanish off the promise support")
         total = float(p[sup].sum())
@@ -126,12 +127,6 @@ class ClassicalStrategy:
         bits = [(index >> (2 * n_parties - 1 - i)) & 1 for i in range(2 * n_parties)]
         signs = 1 - 2 * np.array(bits).reshape(n_parties, 2)
         return cls(signs)
-
-
-def reduced_fidelity(task: TaskSpec, strategy: ClassicalStrategy) -> float:
-    """F = sum_x g(x) prod_n c_n(x_n) for one sign assignment."""
-    _check_party_match("task", task.n_parties, "strategy", strategy.n_parties)
-    return float(_per_party(task.g, strategy.signs.astype(float)))
 
 
 # Rows are the four sign functions on one bit, ordered by their 2-bit code:
@@ -258,8 +253,7 @@ def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
     (-1)^(z_1+..+z_N), and the generator, so the caller continues the same
     stream.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials", 1)
     support = np.flatnonzero(task.support)
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(support.size, size=trials, p=task.p_prime.reshape(-1)[support])
@@ -349,8 +343,7 @@ def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolR
 def chsh_game_equality_frequencies(trials_per_pair: int, seed: int) -> np.ndarray:
     """Simulate the two-partner game; entry [x1, x2] is the observed
     frequency of equal answers, to be compared with chsh_game_target."""
-    if trials_per_pair < 1:
-        raise ValueError(f"trials_per_pair must be >= 1, got {trials_per_pair}")
+    trials_per_pair = _check_count(trials_per_pair, "trials_per_pair", 1)
     s = chsh_game_settings()
     state = make_ghz(2)
     rng = np.random.default_rng(seed)

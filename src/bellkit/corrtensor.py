@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, PAULI, DensityMatrix, NumericalIntegrityError
+from .qstate import MAX_QUBITS, DensityMatrix, NumericalIntegrityError
 from .qstate import _PAULI_PAIRS, _check_count, _check_party_match, _check_unit_rows
 from .qstate import _pair_axes, _per_party
 
@@ -59,6 +59,7 @@ class LocalFrame:
             raise ValueError(
                 f"axes must have shape (n_parties, 2 or 3, 3), got {ax.shape}"
             )
+        _check_count(ax.shape[0], "n_parties", 1, MAX_QUBITS)
         _check_unit_rows(ax)  # finite unit axes; the Gram test adds orthogonality
         gram = np.einsum("kaK,kbK->kab", ax, ax)
         err = float(np.max(np.abs(gram - np.eye(ax.shape[1]))))
@@ -104,26 +105,6 @@ def compute_tensor(rho: DensityMatrix) -> CorrelationTensor:
             f"identity component is {vals[(0,) * n]!r}, expected 1"
         )
     return CorrelationTensor(n, vals)
-
-
-def tensor_to_density(t: CorrelationTensor) -> DensityMatrix:
-    """Rebuild the density matrix 2^-N sum_J T_J sigma_J from a tensor."""
-    n = t.n_qubits
-    # each Pauli index becomes a (row, col) axis pair
-    arr = _per_party(t.values.astype(complex), [np.moveaxis(PAULI, 0, -1)] * n)
-    # axes are now (r_0, c_0, r_1, c_1, ...); regroup rows then cols
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    mat = np.transpose(arr, order).reshape(2**n, 2**n) / 2**n
-    return DensityMatrix(n, mat)
-
-
-def correlation_function(t: CorrelationTensor, directions) -> float:
-    """Contract the proper components with one unit 3-vector per party."""
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
-    _check_party_match("tensor", t.n_qubits, "direction list", dirs.shape[0])
-    return float(_per_party(t.proper, _check_unit_rows(dirs)))
 
 
 def tensor_dot(s: CorrelationTensor, q: CorrelationTensor) -> float:

@@ -1,4 +1,4 @@
-"""N-qubit pure states and density matrices with Pauli expectation values.
+"""N-qubit states, local measurements and the JSON state format.
 
 Basis convention: qubit 1 is the most significant bit of the
 computational-basis index, so ``np.kron(a, b)`` places ``a`` on qubit 1.
@@ -41,15 +41,6 @@ class NumericalIntegrityError(ArithmeticError):
 def _is_int(v) -> bool:
     """v is an int or a NumPy integer; bool is not."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _int_labels(values, name: str) -> tuple[int, ...]:
-    """values as Python ints; a ValueError naming ``name`` unless each one is
-    an int or a NumPy integer (bool is not)."""
-    vals = tuple(values)
-    if not all(map(_is_int, vals)):
-        raise ValueError(f"{name} must be integers, got {vals!r}")
-    return tuple(int(v) for v in vals)
 
 
 def _check_count(count, name: str, lo: int, hi: int | None = None) -> int:
@@ -196,14 +187,6 @@ def make_werner(v: float) -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def _check_bloch(bloch) -> np.ndarray:
-    b = np.asarray(bloch, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(b))
-    if not norm <= 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm must be <= 1, got {norm!r}")
-    return b
-
-
 def product_matrix(blochs) -> np.ndarray:
     """Kronecker product of (I + b . sigma) / 2 over the Bloch vectors b,
     qubit 1 first.  The norms |b| <= 1 are not checked."""
@@ -212,24 +195,6 @@ def product_matrix(blochs) -> np.ndarray:
         qubit = 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
         mat = np.kron(mat, qubit)
     return mat
-
-
-def make_product(blochs) -> DensityMatrix:
-    """Tensor product of single-qubit states given by their Bloch vectors."""
-    if len(blochs) == 0:
-        raise ValueError("need at least one Bloch vector")
-    return DensityMatrix(len(blochs), product_matrix([_check_bloch(b) for b in blochs]))
-
-
-def _check_pauli_string(indices, n_qubits: int) -> tuple[int, ...]:
-    idx = _int_labels(indices, "Pauli indices")
-    if len(idx) != n_qubits:
-        raise ValueError(
-            f"Pauli string length {len(idx)} does not match {n_qubits} qubits"
-        )
-    if any(j not in (0, 1, 2, 3) for j in idx):
-        raise ValueError(f"Pauli indices must be in 0..3, got {idx}")
-    return idx
 
 
 def _per_party(arr: np.ndarray, mats) -> np.ndarray:
@@ -251,21 +216,6 @@ def _pair_axes(mat: np.ndarray, n: int) -> np.ndarray:
     (row, col) bit pair, flattened to 2 row + col."""
     order = [a for k in range(n) for a in (k, n + k)]
     return mat.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-
-
-def pauli_expectation(rho: DensityMatrix, indices) -> float:
-    """Tr(rho sigma_{j1} x ... x sigma_{jN}); always real for valid inputs.
-
-    Traces out one qubit at a time on the matrix's (row, col) pairs, as
-    corrtensor.compute_tensor does for all index strings at once.
-    """
-    idx = _check_pauli_string(indices, rho.n_qubits)
-    val = complex(_per_party(_pair_axes(rho.matrix, rho.n_qubits), _PAULI_PAIRS[list(idx)]))
-    if not abs(val.imag) <= 1e-8:
-        raise NumericalIntegrityError(
-            f"Pauli expectation has imaginary residue {val.imag:g} for {idx}"
-        )
-    return val.real
 
 
 def _check_unit_rows(dirs: np.ndarray) -> np.ndarray:
@@ -330,23 +280,6 @@ def measurement_distribution(state, directions) -> np.ndarray:
         raise NumericalIntegrityError(f"negative Born probability {low:g}")
     probs = np.clip(probs, 0.0, None)  # rounding residues only
     return probs / probs.sum()
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all qubits except those in ``keep``: distinct integers in
-    1..N, in any order; the kept qubits stay in ascending order."""
-    keep = sorted(_int_labels(keep, "keep"))
-    n = rho.n_qubits
-    if not keep or len(set(keep)) < len(keep) or any(k < 1 or k > n for k in keep):
-        raise ValueError(f"keep must name distinct qubits in 1..{n}, got {keep}")
-    mat = rho.matrix.reshape((2,) * (2 * n))
-    drop = [k - 1 for k in range(1, n + 1) if k not in keep]
-    for count, q in enumerate(drop):
-        row = q - count
-        col = row + (n - count)
-        mat = np.trace(mat, axis1=row, axis2=col)
-    m = len(keep)
-    return DensityMatrix(m, mat.reshape((2**m, 2**m)))
 
 
 # --- JSON state format -------------------------------------------------------

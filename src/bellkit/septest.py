@@ -217,14 +217,6 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
 # Coordinates are ordered like the CSV tensor export (C-order index tuples).
 
 
-def metric_to_json(metric: MetricOperator) -> dict:
-    if isinstance(metric, DiagonalMetric):
-        return {"kind": "diagonal", "weights": metric.weights.tolist()}
-    if isinstance(metric, DenseMetric):
-        return {"kind": "dense", "matrix": metric.matrix.tolist()}
-    raise TypeError(f"unknown metric type {type(metric)!r}")
-
-
 def metric_from_json(obj, n_qubits: int) -> MetricOperator:
     if not isinstance(obj, dict):
         raise ValueError("metric document must be a JSON object")

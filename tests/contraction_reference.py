@@ -6,6 +6,9 @@ These are the versions that the one per-party contraction in
 one correlation-function call per support tuple.  Tests require the
 package versions to return bitwise-equal arrays and values, except the
 analytic fidelity, which now sums in a different order.
+``reference_tensor_to_density``, ``reference_correlation_function`` and
+``reference_signed_sum`` have no package counterpart; tests use them as
+plain tools.
 """
 
 import numpy as np
@@ -33,21 +36,6 @@ def reference_compute_tensor(rho: DensityMatrix) -> CorrelationTensor:
             f"identity component is {vals[(0,) * n]!r}, expected 1"
         )
     return CorrelationTensor(n, vals)
-
-
-def reference_pauli_expectation(rho: DensityMatrix, idx) -> float:
-    n = rho.n_qubits
-    arr = rho.matrix.reshape((2,) * (2 * n))
-    for k, j in enumerate(idx):
-        # axes after k steps: (r_k..r_{n-1}, c_k..c_{n-1}); pair (r_k, c_k)
-        # with (col, row) of sigma_j
-        arr = np.tensordot(arr, PAULI[j], axes=([0, n - k], [1, 0]))
-    val = complex(arr)
-    if not abs(val.imag) <= 1e-8:
-        raise NumericalIntegrityError(
-            f"Pauli expectation has imaginary residue {val.imag:g} for {idx}"
-        )
-    return val.real
 
 
 def reference_tensor_to_density(t: CorrelationTensor) -> DensityMatrix:

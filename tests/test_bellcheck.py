@@ -41,7 +41,7 @@ class TestChshProbabilityValue:
         assert report.bound == 0.0
 
     def test_product_state_never_violates(self):
-        rho = qs.make_product([(0, 0, 1), (0, 0, 1)])
+        rho = qs.DensityMatrix(2, qs.product_matrix([(0, 0, 1), (0, 0, 1)]))
         rng = np.random.default_rng(71)
         for _ in range(100):
             dirs = rng.normal(size=(4, 3))
@@ -86,9 +86,9 @@ class TestChshProbabilityValue:
             probs = qs.measurement_distribution(rho, np.array([a_dir, b_dir]))
             marginals.append(float(probs[0].sum()))
         assert np.ptp(marginals) < 1e-10
-        reduced = qs.partial_trace(rho, [1])
+        reduced = np.einsum("ajbj->ab", rho.matrix.reshape(2, 2, 2, 2))  # trace out B
         sigma_a = sum(a_dir[i] * qs.PAULI[i + 1] for i in range(3))
-        expected = 0.5 * (1 + np.trace(reduced.matrix @ sigma_a).real)
+        expected = 0.5 * (1 + np.trace(reduced @ sigma_a).real)
         assert marginals[0] == pytest.approx(expected, abs=1e-10)
 
     def test_wrong_qubit_count(self):

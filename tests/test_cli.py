@@ -14,6 +14,7 @@ from bellkit import cli
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from bellkit import septest as st
+from io_reference import reference_metric_to_json
 
 
 def run_cli(capsys, *args):
@@ -248,7 +249,7 @@ class TestSeptest:
 
     def test_product_state_not_detected(self, tmp_path, capsys):
         path = tmp_path / "state.json"
-        qs.save_state(path, qs.make_product([(0, 0, 1), (1, 0, 0)]))
+        qs.save_state(path, qs.DensityMatrix(2, qs.product_matrix([(0, 0, 1), (1, 0, 0)])))
         code, out, _ = run_cli(capsys, "septest", "--state", str(path))
         assert code == 0
         assert json.loads(out)["detected"] is False
@@ -264,7 +265,7 @@ class TestSeptest:
         state_path = tmp_path / "state.json"
         qs.save_state(state_path, qs.make_werner(0.6))
         metric_path = tmp_path / "metric.json"
-        metric_path.write_text(json.dumps(st.metric_to_json(st.identity_proper_metric(2))))
+        metric_path.write_text(json.dumps(reference_metric_to_json(st.identity_proper_metric(2))))
         code, out, _ = run_cli(
             capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
         )
@@ -332,7 +333,7 @@ class TestSeptest:
     )
     def test_malformed_metric_exits_2(self, tmp_path, capsys, metric):
         state_path = tmp_path / "state.json"
-        qs.save_state(state_path, qs.make_product([(0, 0, 1)]))
+        qs.save_state(state_path, qs.DensityMatrix(1, qs.product_matrix([(0, 0, 1)])))
         metric_path = tmp_path / "metric.json"
         metric_path.write_text(metric)
         code, out, err = run_cli(

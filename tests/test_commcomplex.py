@@ -5,6 +5,8 @@ import pytest
 
 from bellkit import commcomplex as cc
 from bellkit import qstate as qs
+from bellkit.corrtensor import compute_tensor
+from contraction_reference import reference_signed_sum
 from oracles import tree_protocol_optimum
 
 
@@ -45,8 +47,10 @@ class TestMod4Task:
         "field, on_support, message",
         [
             ("f", True, r"f must be \+1 or -1"),
-            ("p_prime", True, "p_prime must be non-negative"),
-            ("p_prime", False, "p_prime must be non-negative"),
+            pytest.param("p_prime", True, "^p_prime must be non-negative, got nan$",
+                         id="p_prime-True-p_prime must be non-negative"),
+            pytest.param("p_prime", False, "^p_prime must be non-negative, got nan$",
+                         id="p_prime-False-p_prime must be non-negative"),
         ],
     )
     def test_nan_is_rejected(self, field, on_support, message):
@@ -65,17 +69,22 @@ class TestMod4Task:
         assert (opt.f_star, opt.index) == (ref.f_star, ref.index)
 
 
+def strategy_fidelity(task, signs):
+    """F of one sign assignment, read from the exhaustive fidelity table."""
+    codes = tuple(2 * int(c[0] < 0) + int(c[1] < 0) for c in np.asarray(signs))
+    return float(cc._all_strategy_fidelities(task)[codes])
+
+
 class TestReducedFidelity:
     def test_all_plus_strategy_two_parties(self):
         task = cc.make_mod4_task(2)
-        strat = cc.ClassicalStrategy(np.ones((2, 2), dtype=int))
-        assert cc.reduced_fidelity(task, strat) == pytest.approx(0.0, abs=1e-15)
+        assert strategy_fidelity(task, np.ones((2, 2))) == pytest.approx(0.0, abs=1e-15)
 
     def test_three_party_bound(self):
         task = cc.make_mod4_task(3)
         for idx in range(4**3):
             strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert abs(cc.reduced_fidelity(task, strat)) <= 0.5 + 1e-15
+            assert abs(strategy_fidelity(task, strat.signs)) <= 0.5 + 1e-15
 
     def test_single_support_point(self):
         f = np.zeros((2, 2))
@@ -85,7 +94,7 @@ class TestReducedFidelity:
         support = p > 0
         task = cc.TaskSpec(2, f, p, support)
         signs = np.array([[1, -1], [1, 1]])  # c1(1) c2(0) = -1 matches f
-        assert cc.reduced_fidelity(task, cc.ClassicalStrategy(signs)) == 1.0
+        assert strategy_fidelity(task, signs) == 1.0
 
     def test_multilinear_flip_identity(self):
         # flipping one sign changes F by exactly twice the affected terms
@@ -97,8 +106,8 @@ class TestReducedFidelity:
             bit = int(rng.integers(0, 2))
             flipped = signs.copy()
             flipped[k, bit] *= -1
-            f0 = cc.reduced_fidelity(task, cc.ClassicalStrategy(signs))
-            f1 = cc.reduced_fidelity(task, cc.ClassicalStrategy(flipped))
+            f0 = strategy_fidelity(task, signs)
+            f1 = strategy_fidelity(task, flipped)
             affected = 0.0
             for x in support_tuples(task):
                 if x[k] != bit:
@@ -108,11 +117,6 @@ class TestReducedFidelity:
                     prod *= int(signs[m, b])
                 affected += task.g[x] * prod
             assert f1 - f0 == pytest.approx(-2 * affected, abs=1e-12)
-
-    def test_party_mismatch(self):
-        task = cc.make_mod4_task(3)
-        with pytest.raises(ValueError, match="mismatch"):
-            cc.reduced_fidelity(task, cc.ClassicalStrategy(np.ones((2, 2), dtype=int)))
 
 
 class TestClassicalOptimum:
@@ -127,7 +131,7 @@ class TestClassicalOptimum:
         for n in (2, 3, 4, 5):
             task = cc.make_mod4_task(n)
             opt = cc.classical_optimum(task)
-            assert abs(cc.reduced_fidelity(task, opt.strategy)) == pytest.approx(
+            assert abs(reference_signed_sum(task.g, opt.strategy.signs)) == pytest.approx(
                 opt.f_star, abs=1e-15
             )
 
@@ -136,7 +140,7 @@ class TestClassicalOptimum:
         opt = cc.classical_optimum(task)
         for idx in range(opt.index):
             strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert abs(cc.reduced_fidelity(task, strat)) < opt.f_star
+            assert abs(reference_signed_sum(task.g, strat.signs)) < opt.f_star
 
     def test_strategy_index_round_trip(self):
         # flat index i of the exhaustive fidelities is the strategy from_index decodes
@@ -144,7 +148,7 @@ class TestClassicalOptimum:
         fid = cc._all_strategy_fidelities(task).reshape(-1)
         for idx in range(4**3):
             strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert cc.reduced_fidelity(task, strat) == fid[idx]
+            assert reference_signed_sum(task.g, strat.signs) == fid[idx]
 
     def test_chsh_game_bound(self):
         assert cc.classical_optimum(cc.make_chsh_game()).f_star == 0.5
@@ -177,14 +181,11 @@ class TestQuantumFidelity:
         # correct-answer probability is 1/2 + sqrt(2)/4 on every input pair
         task = cc.make_chsh_game()
         settings = cc.chsh_game_settings()
-        state = qs.make_ghz(2)
-        from bellkit.corrtensor import compute_tensor, correlation_function
-
-        tensor = compute_tensor(state.projector())
+        tensor = compute_tensor(qs.make_ghz(2).projector())
         for x1 in (0, 1):
             for x2 in (0, 1):
                 dirs = np.array([settings[0, x1], settings[1, x2]])
-                corr = correlation_function(tensor, dirs)
+                corr = float(np.einsum("ij,i,j->", tensor.proper, *dirs))
                 success = (1 + task.f[x1, x2] * corr) / 2
                 assert success == pytest.approx(0.5 + np.sqrt(2) / 4, abs=1e-12)
 

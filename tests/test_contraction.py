@@ -14,12 +14,8 @@ from bellkit import qstate as qs
 from contraction_reference import (
     reference_all_strategy_fidelities,
     reference_compute_tensor,
-    reference_correlation_function,
     reference_frame_components,
-    reference_pauli_expectation,
     reference_quantum_fidelity,
-    reference_signed_sum,
-    reference_tensor_to_density,
 )
 from oracles import random_density, random_rotation
 
@@ -59,20 +55,6 @@ def test_compute_tensor(n):
     assert same_bytes(ct.compute_tensor(rho).values, reference_compute_tensor(rho).values)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_pauli_expectation(n):
-    rng = np.random.default_rng(200 + n)
-    rho = random_density(n, rng)
-    for idx in rng.integers(0, 4, size=(30, n)).tolist():
-        assert same_bytes(qs.pauli_expectation(rho, idx), reference_pauli_expectation(rho, idx))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_tensor_to_density(n):
-    t = ct.compute_tensor(random_density(n, np.random.default_rng(300 + n)))
-    assert same_bytes(ct.tensor_to_density(t).matrix, reference_tensor_to_density(t).matrix)
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_frame_components(n):
     rng = np.random.default_rng(400 + n)
@@ -81,28 +63,10 @@ def test_frame_components(n):
         assert same_bytes(ct.frame_components(t, frame), reference_frame_components(t, frame))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_correlation_function(n):
-    rng = np.random.default_rng(500 + n)
-    t = ct.compute_tensor(random_density(n, rng))
-    for _ in range(10):
-        dirs = unit_rows(rng, (n,))
-        assert same_bytes(ct.correlation_function(t, dirs), reference_correlation_function(t, dirs))
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 def test_all_strategy_fidelities(n):
     task = cc.make_mod4_task(n)
     assert same_bytes(cc._all_strategy_fidelities(task), reference_all_strategy_fidelities(task))
-
-
-def test_reduced_fidelity():
-    rng = np.random.default_rng(600)
-    for task in [cc.make_chsh_game()] + [cc.make_mod4_task(n) for n in range(2, 8)]:
-        for _ in range(10):
-            signs = 1 - 2 * rng.integers(0, 2, size=(task.n_parties, 2))
-            new = cc.reduced_fidelity(task, cc.ClassicalStrategy(signs))
-            assert same_bytes(new, reference_signed_sum(task.g, signs))
 
 
 def fidelity_cases():

@@ -47,6 +47,19 @@ COUNTS = {
     "make_mod4_task": (cc.make_mod4_task, "n_parties", 1),
     "mod4_settings": (cc.mod4_settings, "n_parties", 1),
     "mod4_classical_bound": (cc.mod4_classical_bound, "n_parties", 1),
+    "run_entangled_protocol.trials": (
+        lambda k: cc.run_entangled_protocol(
+            cc.make_mod4_task(3), qs.make_ghz(3), cc.mod4_settings(3), k, 0
+        ),
+        "trials",
+        0,
+    ),
+    "run_sequential_protocol.trials": (
+        lambda k: cc.run_sequential_protocol(cc.make_mod4_task(3), k, 0), "trials", 0
+    ),
+    "chsh_game_equality_frequencies": (
+        lambda k: cc.chsh_game_equality_frequencies(k, 0), "trials_per_pair", 0
+    ),
     "ClassicalStrategy.from_index": (
         lambda n: cc.ClassicalStrategy.from_index(n, 0), "n_parties", 0
     ),
@@ -103,7 +116,6 @@ class TestPartyMatch:
         t = ct.compute_tensor(qs.make_werner(0.5))
         t3 = ct.compute_tensor(qs.make_ghz(3).projector())
         cases = [
-            (lambda: ct.correlation_function(t, np.eye(3)), "tensor has 2, direction list has 3"),
             (lambda: ct.tensor_dot(t, t3), "tensor has 2, second tensor has 3"),
             (lambda: ct.frame_components(t, ct.xy_frame(3)), "tensor has 2, frame has 3"),
             (lambda: ct.max_product_value(t, frame=ct.xy_frame(3)), "tensor has 2, frame has 3"),
@@ -114,10 +126,8 @@ class TestPartyMatch:
 
     def test_game_sites(self):
         task = cc.make_mod4_task(3)
-        strategy = cc.ClassicalStrategy(np.ones((2, 2), dtype=int))
         ghz = qs.make_ghz(2)
         cases = [
-            (lambda: cc.reduced_fidelity(task, strategy), "task has 3, strategy has 2"),
             (lambda: cc.quantum_fidelity_analytic(task, ghz, cc.mod4_settings(3)),
              "task has 3, state has 2"),
             (lambda: cc.run_entangled_protocol(task, ghz, cc.mod4_settings(3), 10, 0),

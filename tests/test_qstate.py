@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellkit import qstate as qs
+from bellkit.corrtensor import compute_tensor
 from oracles import random_density, tensor_by_traces
 
 
@@ -69,15 +70,15 @@ class TestMakeWerner:
         assert np.allclose(qs.make_werner(0.0).matrix, np.eye(4) / 4, atol=1e-15)
 
     def test_singlet_anticorrelations(self):
-        rho = qs.make_werner(1.0)
+        t = compute_tensor(qs.make_werner(1.0)).values
         for j in (1, 2, 3):
-            assert qs.pauli_expectation(rho, (j, j)) == pytest.approx(-1.0, abs=1e-12)
+            assert t[j, j] == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_visibility_tensor(self):
-        rho = qs.make_werner(0.5)
+        t = compute_tensor(qs.make_werner(0.5)).values
         for j in (1, 2, 3):
-            assert qs.pauli_expectation(rho, (j, j)) == pytest.approx(-0.5, abs=1e-12)
-        assert qs.pauli_expectation(rho, (1, 2)) == pytest.approx(0.0, abs=1e-12)
+            assert t[j, j] == pytest.approx(-0.5, abs=1e-12)
+        assert t[1, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_visibility(self):
         with pytest.raises(ValueError):
@@ -85,21 +86,23 @@ class TestMakeWerner:
 
 
 class TestMakeProduct:
+    """Product states as DensityMatrix(n, product_matrix(blochs))."""
+
     def test_single_up(self):
-        rho = qs.make_product([(0, 0, 1)])
+        rho = qs.DensityMatrix(1, qs.product_matrix([(0, 0, 1)]))
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_up_down(self):
-        rho = qs.make_product([(0, 0, 1), (0, 0, -1)])
+        rho = qs.DensityMatrix(2, qs.product_matrix([(0, 0, 1), (0, 0, -1)]))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0
         assert np.allclose(rho.matrix, expected, atol=1e-15)
 
     def test_plus_plus_correlations(self):
-        rho = qs.make_product([(1, 0, 0), (1, 0, 0)])
-        assert qs.pauli_expectation(rho, (1, 1)) == pytest.approx(1.0, abs=1e-12)
+        t = compute_tensor(qs.DensityMatrix(2, qs.product_matrix([(1, 0, 0), (1, 0, 0)]))).values
+        assert t[1, 1] == pytest.approx(1.0, abs=1e-12)
         for idx in ((2, 2), (3, 3), (1, 2), (2, 1), (2, 3)):
-            assert qs.pauli_expectation(rho, idx) == pytest.approx(0.0, abs=1e-12)
+            assert t[idx] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_kronecker(self):
         sigma = [
@@ -113,84 +116,39 @@ class TestMakeProduct:
             blochs *= rng.uniform(0, 1, size=(3, 1)) / np.linalg.norm(
                 blochs, axis=1, keepdims=True
             )
-            rho = qs.make_product(blochs)
+            rho = qs.DensityMatrix(3, qs.product_matrix(blochs))
             qubits = [0.5 * (np.eye(2) + sum(c * s for c, s in zip(b, sigma))) for b in blochs]
             ref = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
             assert np.max(np.abs(rho.matrix - ref)) < 1e-12
 
-    def test_bloch_norm_check(self):
-        with pytest.raises(ValueError):
-            qs.make_product([(1.0, 1.0, 0.0)])
-
 
 class TestPauliExpectation:
+    """Pauli expectations Tr(rho sigma_J) as compute_tensor(rho).values[J]."""
+
     def test_white_noise_proper_strings_vanish(self):
-        rho = qs.DensityMatrix(2, np.eye(4) / 4)
+        t = compute_tensor(qs.DensityMatrix(2, np.eye(4) / 4)).values
         for idx in ((1, 1), (2, 3), (3, 3), (1, 0), (0, 2)):
-            if idx == (0, 0):
-                continue
-            assert qs.pauli_expectation(rho, idx) == pytest.approx(0.0, abs=1e-12)
+            assert t[idx] == pytest.approx(0.0, abs=1e-12)
 
     def test_ghz3_xxx(self):
         # <xxx> on (|000> + |111>)/sqrt(2): both basis terms map onto each
         # other with coefficient +1, so the expectation is exactly 1
-        rho = qs.make_ghz(3).projector()
-        assert qs.pauli_expectation(rho, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        t = compute_tensor(qs.make_ghz(3).projector()).values
+        assert t[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_string_is_trace(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3):
-            rho = random_density(n, rng)
-            assert qs.pauli_expectation(rho, (0,) * n) == pytest.approx(1.0, abs=1e-12)
+            t = compute_tensor(random_density(n, rng)).values
+            assert t[(0,) * n] == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(1, 4))
-            rho = random_density(n, rng)
+            t = compute_tensor(random_density(n, rng)).values
             idx = tuple(rng.integers(0, 4, size=n))
-            val = qs.pauli_expectation(rho, idx)
-            assert -1 - 1e-10 <= val <= 1 + 1e-10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            qs.pauli_expectation(qs.make_werner(0.5), (1, 1, 1))
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            qs.pauli_expectation(qs.make_werner(0.5), (1, 4))
-
-    @pytest.mark.parametrize(
-        "idx", [[1.7, 0, 0], ["1", 0, 0], [True, 0, 3], [1.0, 0, 0], [np.float64(1), 0, 0], "103"]
-    )
-    def test_non_integer_index_rejected(self, idx):
-        rho = qs.make_noisy_ghz(3, 0.5)
-        with pytest.raises(ValueError, match="^Pauli indices must be integers"):
-            qs.pauli_expectation(rho, idx)
-
-    def test_numpy_integer_indices(self):
-        rho = qs.make_noisy_ghz(3, 0.5)
-        assert qs.pauli_expectation(rho, np.array([1, 1, 0])) == qs.pauli_expectation(
-            rho, (1, 1, 0)
-        )
-
-    def test_imaginary_residue_raises(self):
-        # a non-Hermitian matrix that skipped validation: Tr(rho X) = 0.5j
-        rho = object.__new__(qs.DensityMatrix)
-        object.__setattr__(rho, "n_qubits", 1)
-        object.__setattr__(rho, "matrix", np.array([[0.5, 0.5j], [0.0, 0.5]]))
-        with pytest.raises(qs.NumericalIntegrityError, match="imaginary"):
-            qs.pauli_expectation(rho, (1,))
-
-    def test_matches_operator_traces(self):
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3):
-            rho = random_density(n, rng)
-            expected = tensor_by_traces(rho)
-            for idx in np.ndindex(expected.shape):
-                assert qs.pauli_expectation(rho, idx) == pytest.approx(
-                    expected[idx], abs=1e-12
-                )
+            assert -1 - 1e-10 <= t[idx] <= 1 + 1e-10
 
 
 class TestInvariants:
@@ -363,12 +321,13 @@ class TestMeasurementDistribution:
         # reproduce the Pauli expectation of the measured product observable
         rng = np.random.default_rng(13)
         rho = random_density(2, rng)
+        expected = tensor_by_traces(rho)
         signs = np.array([1.0, -1.0])
         for idx in ((1, 1), (2, 3), (3, 2)):
             dirs = np.eye(3)[[idx[0] - 1, idx[1] - 1]]
             probs = qs.measurement_distribution(rho, dirs)
             corr = float(np.einsum("ab,a,b->", probs, signs, signs))
-            assert corr == pytest.approx(qs.pauli_expectation(rho, idx), abs=1e-10)
+            assert corr == pytest.approx(expected[idx], abs=1e-10)
 
 
     @staticmethod
@@ -388,34 +347,6 @@ class TestMeasurementDistribution:
         rho = self.unvalidated([1.0 + 1e-12, -1e-12])
         probs = qs.measurement_distribution(rho, [(0, 0, 1)])
         assert probs.tolist() == [1.0, 0.0]
-
-
-class TestPartialTrace:
-    def test_werner_marginals_maximally_mixed(self):
-        rho = qs.make_werner(0.7)
-        for keep in ([1], [2]):
-            red = qs.partial_trace(rho, keep)
-            assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_factors(self):
-        rho = qs.make_product([(0, 0, 1), (1, 0, 0)])
-        left = qs.partial_trace(rho, [1])
-        right = qs.partial_trace(rho, [2])
-        assert np.allclose(left.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-        assert np.allclose(right.matrix, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_keep_order_and_numpy_integers(self):
-        rho = random_density(3, np.random.default_rng(5))
-        ref = qs.partial_trace(rho, [1, 3]).matrix
-        for keep in ([3, 1], np.array([1, 3]), [np.int64(3), np.int8(1)]):
-            assert qs.partial_trace(rho, keep).matrix.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize(
-        "keep", [[1, 1], [2, 1, 2], [1.5], [1.0], ["1"], [True], [np.float64(1.0)], [], [0], [4]]
-    )
-    def test_keep_must_be_distinct_integer_qubits(self, keep):
-        with pytest.raises(ValueError, match="^keep must"):
-            qs.partial_trace(random_density(3, np.random.default_rng(5)), keep)
 
 
 class TestStateJson:

