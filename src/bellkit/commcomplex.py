@@ -106,11 +106,15 @@ class ClassicalStrategy:
     signs: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.signs, dtype=int)
+        s = np.asarray(self.signs)
         if s.ndim != 2 or s.shape[1] != 2:
             raise ValueError(f"signs must have shape (n_parties, 2), got {s.shape}")
-        if not np.all(np.abs(s) == 1):
+        _check_count(s.shape[0], "n_parties", 1)
+        # checked before the int cast, which would truncate 1.5 to 1; bool,
+        # string and object arrays are rejected, NaN fails the comparison
+        if s.dtype.kind not in "iuf" or not np.all(np.abs(s) == 1):
             raise ValueError("strategy signs must be +1 or -1")
+        s = s.astype(int)
         s.setflags(write=False)
         object.__setattr__(self, "signs", s)
 
@@ -199,8 +203,7 @@ def chsh_game_settings() -> np.ndarray:
 
 def chsh_game_target(x1: int, x2: int) -> float:
     """Equality probability 1/2 + 1/2 cos(-pi/4 + pi/2 (x1 + x2))."""
-    if x1 not in (0, 1) or x2 not in (0, 1):
-        raise ValueError("inputs must be bits")
+    x1, x2 = _check_count(x1, "x1", 0, 1), _check_count(x2, "x2", 0, 1)
     return 0.5 + 0.5 * np.cos(-np.pi / 4 + (np.pi / 2) * (x1 + x2))
 
 

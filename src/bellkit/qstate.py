@@ -97,7 +97,7 @@ class StateVector:
     def projector(self) -> "DensityMatrix":
         """Return |psi><psi| as a DensityMatrix."""
         mat = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.n_qubits, mat)
+        return _built_density(self.n_qubits, mat)
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,7 @@ class DensityMatrix:
         herm_err = float(np.max(np.abs(mat - mat.conj().T)))
         if not herm_err <= 1e-12:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_err:g}")
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= 1e-12:
-            raise ValueError(f"trace must be 1, got {tr!r}")
+        _check_trace(mat)
         _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
@@ -127,6 +125,25 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+
+def _check_trace(mat: np.ndarray) -> None:
+    tr = complex(np.trace(mat))
+    if not abs(tr - 1.0) <= 1e-12:  # fail-closed: NaN is rejected
+        raise ValueError(f"trace must be 1, got {tr!r}")
+
+
+def _built_density(n: int, mat: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix of a matrix that is Hermitian and positive by
+    construction, on n qubits given as a Python int.  Only the trace is
+    checked: it is summed from rounded entries, and a vector that
+    StateVector accepts can still miss 1 by more than 1e-12."""
+    _check_trace(mat)
+    mat.setflags(write=False)
+    rho = object.__new__(DensityMatrix)  # skips __post_init__
+    object.__setattr__(rho, "n_qubits", n)
+    object.__setattr__(rho, "matrix", mat)
+    return rho
 
 
 def _require_positive(mat: np.ndarray, message: str) -> None:
@@ -170,7 +187,7 @@ def make_noisy_ghz(n: int, v: float) -> DensityMatrix:
     dim = 2**n
     mat = v * np.outer(ghz.amplitudes, ghz.amplitudes.conj())
     mat += (1.0 - v) / dim * np.eye(dim)
-    return DensityMatrix(n, mat)
+    return _built_density(ghz.n_qubits, mat)
 
 
 def make_werner(v: float) -> DensityMatrix:

@@ -408,6 +408,18 @@ class TestTensorExport:
         assert values[(1, 1)] == pytest.approx(-1.0, abs=1e-12)
         assert values[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
+    def test_pure_state_whose_projector_misses_the_trace_exits_2(self, tmp_path, capsys):
+        # StateVector accepts it (Sigma |a|^2 = 0.999999999999); the
+        # trace of its projector misses 1 by more than 1e-12
+        amps = [(-0.2677445961427941 - 0.9598299797380929j),
+                (0.07217185182866134 - 0.0427839343086392j)]
+        path = tmp_path / "state.json"
+        qs.save_state(path, qs.StateVector(1, amps))
+        code, out, err = run_cli(capsys, "tensor-export", "--state", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: trace must be 1, got (0.9999999999989999-1.5811045672737672e-17j)\n"
+
 
 class TestOverflowingState:
     def test_scaled_pure_state_exits_2_with_one_error_line(self, tmp_path):

@@ -378,8 +378,14 @@ class TestChshGame:
                 assert abs(freq[x1, x2] - target) < 3 * sigma, (x1, x2)
 
     def test_bad_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x1 must be in \[0, 1\], got 2$"):
             cc.chsh_game_target(2, 0)
+        with pytest.raises(ValueError, match=r"^x2 must be in \[0, 1\], got -1$"):
+            cc.chsh_game_target(0, -1)
+        with pytest.raises(ValueError, match="^x1 must be an integer$"):
+            cc.chsh_game_target(True, 1)
+        with pytest.raises(ValueError, match="^x2 must be an integer$"):
+            cc.chsh_game_target(0, 1.0)
 
 
 class TestTreeOracle:

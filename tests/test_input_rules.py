@@ -96,6 +96,21 @@ def test_count_out_of_range_names_the_count(entry):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "signs",
+    [[[1.5, -1], [1, 1]], [[1, np.nan]], [[True, False]], [["1", "-1"]], [[1, None]]],
+    ids=["fraction", "nan", "bool", "string", "object"],
+)
+def test_strategy_signs_are_not_truncated(signs):
+    with pytest.raises(ValueError, match=r"^strategy signs must be \+1 or -1$"):
+        cc.ClassicalStrategy(signs)
+
+
+def test_strategy_needs_a_party():
+    with pytest.raises(ValueError, match="^n_parties must be at least 1, got 0$"):
+        cc.ClassicalStrategy(np.zeros((0, 2)))
+
+
 def test_fractional_counts_are_not_truncated():
     with pytest.raises(ValueError, match="n_qubits"):
         st.DiagonalMetric(2.5, np.ones(32))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hs
 
 from bellkit import qstate as qs
 from bellkit.corrtensor import compute_tensor
@@ -220,18 +222,94 @@ class TestPositivity:
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = qs.StateVector(n, amps / np.linalg.norm(amps))
 
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("eigvalsh ran on a valid state")
+        def no_factor(*args, **kwargs):
+            raise AssertionError("a state valid by construction was factored")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
         rho = state.projector()
         assert rho.n_qubits == n
+        if n == 10:
+            assert qs.make_noisy_ghz(10, 0.5).n_qubits == 10
 
     def test_input_left_unchanged(self):
         mat = np.eye(4, dtype=complex) / 4
         before = mat.copy()
         qs.DensityMatrix(2, mat)
         assert mat.tobytes() == before.tobytes()
+
+
+def _outcome(build):
+    """The matrix bytes of the DensityMatrix that build() returns, or the
+    message of the ValueError it raises."""
+    try:
+        return build().matrix.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Sigma |a|^2 = 0.999999999999: StateVector accepts it, its projector's
+# trace misses 1 by more than 1e-12.
+OFF_TRACE_AMPLITUDES = [
+    (-0.2677445961427941 - 0.9598299797380929j),
+    (0.07217185182866134 - 0.0427839343086392j),
+]
+
+
+@hs.composite
+def near_unit_vectors(draw):
+    """A Haar-random amplitude vector on 1..5 qubits whose squared norm is
+    1 + delta, |delta| <= 1e-12, or within 1e-15 of the StateVector
+    tolerance, where the norm and the projector's trace, rounded
+    differently, can fall on either side of it."""
+    n = draw(hs.integers(1, 5))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    edge = draw(hs.sampled_from([0.0, -1e-12, 1e-12]))
+    delta = edge + draw(hs.floats(-1e-15, 1e-15) if edge else hs.floats(-1e-12, 1e-12))
+    return amps / np.linalg.norm(amps) * np.sqrt(1.0 + delta)
+
+
+class TestTrustedPaths:
+    """make_noisy_ghz and StateVector.projector build their DensityMatrix
+    without the full validation: only the trace is checked.  Their results
+    must be exactly what the full validation accepts."""
+
+    @given(hs.integers(2, 8), hs.floats(0.0, 1.0))
+    @example(2, -0.0)
+    @example(5, 0.0)
+    @example(8, 1.0)
+    @example(10, 0.5)
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    def test_noisy_ghz_passes_full_validation(self, n, v):
+        rho = qs.make_noisy_ghz(n, v)
+        dim = 2**n
+        ghz = np.zeros(dim, dtype=complex)
+        ghz[0] = ghz[-1] = 1.0 / np.sqrt(2.0)
+        expected = v * np.outer(ghz, ghz.conj()) + (1.0 - v) / dim * np.eye(dim)
+        assert rho.matrix.tobytes() == expected.tobytes()
+        assert type(rho.n_qubits) is int and not rho.matrix.flags.writeable
+        assert qs.DensityMatrix(n, rho.matrix).matrix.tobytes() == expected.tobytes()
+
+    @given(near_unit_vectors())
+    @example(np.array(OFF_TRACE_AMPLITUDES))
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    def test_projector_raises_exactly_when_full_validation_does(self, amps):
+        try:
+            state = qs.StateVector(amps.size.bit_length() - 1, amps)
+        except ValueError:
+            assume(False)
+        a = state.amplitudes
+        full = _outcome(lambda: qs.DensityMatrix(state.n_qubits, np.outer(a, a.conj())))
+        assert _outcome(state.projector) == full
+
+    def test_off_trace_projector_raises(self):
+        state = qs.StateVector(1, OFF_TRACE_AMPLITUDES)
+        with pytest.raises(ValueError) as info:
+            state.projector()
+        assert str(info.value) == (
+            "trace must be 1, got (0.9999999999989999-1.5811045672737672e-17j)"
+        )
 
 
 def reference_measurement_basis(direction):
