@@ -107,10 +107,7 @@ def cmd_commrun(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
     task = _make_task(args.task, args.n)
-    if args.n > commcomplex.MAX_EXHAUSTIVE_PARTIES:  # only mod4 allows it
-        bound = commcomplex.mod4_classical_bound(args.n)
-    else:
-        bound = commcomplex.classical_optimum(task).f_star
+    bound = commcomplex.classical_optimum(task).f_star
     records = []
     for protocol in args.protocol:
         if protocol == "classical":

@@ -19,8 +19,6 @@ from .corrtensor import compute_tensor
 from .qstate import _check_count, _check_party_match, _check_unit_rows, _per_party
 from .qstate import as_density, make_ghz, measurement_distribution
 
-MAX_EXHAUSTIVE_PARTIES = 12
-
 
 class UnsupportedTaskError(ValueError):
     """The task does not fit the requested protocol."""
@@ -43,9 +41,10 @@ class TaskSpec:
     def __post_init__(self):
         n = _check_count(self.n_parties, "n_parties", 2)
         shape = (2,) * n
-        f = np.asarray(self.f, dtype=float)
-        p = np.asarray(self.p_prime, dtype=float)
-        sup = np.asarray(self.support, dtype=bool)
+        # copies, so that freezing them below leaves the caller's arrays writable
+        f = np.array(self.f, dtype=float)
+        p = np.array(self.p_prime, dtype=float)
+        sup = np.array(self.support, dtype=bool)
         if f.shape != shape or p.shape != shape or sup.shape != shape:
             raise ValueError(f"f, p_prime and support must all have shape {shape}")
         # every check is written fail-closed, so that NaN is rejected
@@ -133,16 +132,9 @@ class ClassicalStrategy:
         return cls(signs)
 
 
-# Rows are the four sign functions on one bit, ordered by their 2-bit code:
-# (+1,+1), (+1,-1), (-1,+1), (-1,-1).
-_PARTY_STRATEGIES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-
-
-def _all_strategy_fidelities(task: TaskSpec) -> np.ndarray:
-    """Fidelity of every sign assignment, shape (4,)*n, C-ordered so that the
-    flat index i is the strategy ClassicalStrategy.from_index(n, i)."""
-    # each x_k axis becomes the axis of the 4 sign functions on x_k
-    return _per_party(task.g, [_PARTY_STRATEGIES] * task.n_parties)
+# The two sign functions on one bit with c(0) = +1, by 2-bit code:
+# (+1,+1) = 0, (+1,-1) = 1.  Codes 2 and 3 are their negations.
+_HALF_STRATEGIES = np.array([[1, 1], [1, -1]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,23 +145,21 @@ class ClassicalOptimum:
 
 
 def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
-    """Exhaustive maximum of |F| over all 4^N sign assignments.
+    """Exact maximum of |F| over all 4^N sign assignments.
 
-    Returns the first maximizer in lexicographic strategy order.  Raises
-    for more than 12 parties; mod4_classical_bound gives the mod-4 task's
-    bound in closed form beyond that.
+    Negating one party's sign function negates F, so only the 2^N
+    assignments with c_k(0) = +1 are contracted: O(N 2^N) time, O(2^N)
+    memory.  Each contraction step rounds a +- b once, so the negated
+    assignments would give exactly -F, and every one of them comes later
+    in lexicographic order than its twin.  The result is therefore the
+    first maximizer in lexicographic strategy order among all 4^N.
     """
     n = task.n_parties
-    if n > MAX_EXHAUSTIVE_PARTIES:
-        raise ValueError(
-            f"strategy space 4^{n} is too large for exhaustive search "
-            f"(cap {MAX_EXHAUSTIVE_PARTIES}); for the mod-4 task use "
-            "mod4_classical_bound"
-        )
-    fid = np.abs(_all_strategy_fidelities(task)).reshape(-1)
-    idx = int(np.argmax(fid))
+    fid = np.abs(_per_party(task.g, [_HALF_STRATEGIES] * n)).reshape(-1)
+    best = int(np.argmax(fid))
+    idx = int(format(best, f"0{n}b"), 4)  # party k's bit becomes its code
     return ClassicalOptimum(
-        f_star=float(fid[idx]),
+        f_star=float(fid[best]),
         strategy=ClassicalStrategy.from_index(n, idx),
         index=idx,
     )

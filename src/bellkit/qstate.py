@@ -76,7 +76,8 @@ class StateVector:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        # a copy: a view would let the caller change the state after the checks
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2**n,):
             raise ValueError(
                 f"amplitude vector must have length {2**n}, got {amps.shape[0]}"
@@ -109,7 +110,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        mat = np.asarray(self.matrix, dtype=complex)
+        # a copy, so that freezing it below leaves the caller's array writable
+        mat = np.array(self.matrix, dtype=complex)
         dim = 2**n
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")

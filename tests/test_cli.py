@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -214,6 +215,19 @@ class TestCommrun:
         for record in json.loads(out):
             assert record["classical_bound"] == 2.0**-6
         assert json.loads(out)[1]["fidelity"] == 1.0
+
+    def test_classical_bound_bytes_for_every_n(self, capsys):
+        # SHA-256 of the exit code and stdout for N = 2..20, recorded while
+        # N > 12 still took the closed form instead of the search
+        digest = hashlib.sha256()
+        for n in range(2, 21):
+            code, out, _ = run_cli(
+                capsys, "commrun", "--task", "mod4", "--n", str(n), "--protocol", "classical"
+            )
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "322500a5d840ca57434aee17c8c75c20462dd64c694f00c5cf31448f12eb1fb8"
+        )
 
     def test_too_many_parties_exits_2(self, capsys):
         code, out, err = run_cli(

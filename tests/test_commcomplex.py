@@ -1,12 +1,14 @@
 """Task definitions, classical strategy search, and protocol simulations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bellkit import commcomplex as cc
 from bellkit import qstate as qs
 from bellkit.corrtensor import compute_tensor
-from contraction_reference import reference_signed_sum
+from contraction_reference import reference_all_strategy_fidelities, reference_signed_sum
 from oracles import tree_protocol_optimum
 
 
@@ -72,7 +74,7 @@ class TestMod4Task:
 def strategy_fidelity(task, signs):
     """F of one sign assignment, read from the exhaustive fidelity table."""
     codes = tuple(2 * int(c[0] < 0) + int(c[1] < 0) for c in np.asarray(signs))
-    return float(cc._all_strategy_fidelities(task)[codes])
+    return float(reference_all_strategy_fidelities(task)[codes])
 
 
 class TestReducedFidelity:
@@ -145,7 +147,7 @@ class TestClassicalOptimum:
     def test_strategy_index_round_trip(self):
         # flat index i of the exhaustive fidelities is the strategy from_index decodes
         task = cc.make_mod4_task(3)
-        fid = cc._all_strategy_fidelities(task).reshape(-1)
+        fid = reference_all_strategy_fidelities(task).reshape(-1)
         for idx in range(4**3):
             strat = cc.ClassicalStrategy.from_index(3, idx)
             assert reference_signed_sum(task.g, strat.signs) == fid[idx]
@@ -153,9 +155,20 @@ class TestClassicalOptimum:
     def test_chsh_game_bound(self):
         assert cc.classical_optimum(cc.make_chsh_game()).f_star == 0.5
 
-    def test_party_cap_names_the_fallback(self):
-        with pytest.raises(ValueError, match="mod4_classical_bound"):
-            cc.classical_optimum(cc.make_mod4_task(13))
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_mod4_beyond_twelve_parties(self, n):
+        assert cc.classical_optimum(cc.make_mod4_task(n)).f_star == cc.mod4_classical_bound(n)
+
+    def test_memory_at_twelve_parties(self):
+        # the search over all 4^12 assignments held about 300 MB
+        task = cc.make_mod4_task(12)
+        tracemalloc.start()
+        try:
+            cc.classical_optimum(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestQuantumFidelity:

@@ -63,10 +63,33 @@ def test_frame_components(n):
         assert same_bytes(ct.frame_components(t, frame), reference_frame_components(t, frame))
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+def optimum_tasks(n):
+    """The mod-4 task on n parties, the CHSH game at n = 2, and up to n = 8
+    random tasks with random promises and weights that are not dyadic."""
+    yield cc.make_mod4_task(n)
+    if n == 2:
+        yield cc.make_chsh_game()
+    if n > 8:
+        return
+    rng = np.random.default_rng(900 + n)
+    for _ in range(12):
+        support = rng.random((2,) * n) < 0.7
+        support.flat[rng.integers(support.size)] = True
+        p = np.where(support, rng.random(support.shape), 0.0)
+        f = np.where(rng.random(support.shape) < 0.5, 1.0, -1.0)
+        yield cc.TaskSpec(n, f, p / p.sum(), support)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_all_strategy_fidelities(n):
-    task = cc.make_mod4_task(n)
-    assert same_bytes(cc._all_strategy_fidelities(task), reference_all_strategy_fidelities(task))
+    """classical_optimum searches 2^N assignments; it must report the first
+    maximizer of |F| over the table of all 4^N, with the same bytes."""
+    for task in optimum_tasks(n):
+        fid = reference_all_strategy_fidelities(task).reshape(-1)
+        np.abs(fid, out=fid)  # in place: the table is 134 MB at n = 12
+        idx = int(np.argmax(fid))
+        opt = cc.classical_optimum(task)
+        assert (opt.index, opt.f_star.hex()) == (idx, float(fid[idx]).hex())
 
 
 def fidelity_cases():

@@ -163,3 +163,28 @@ class TestPartyMatch:
 def test_visibility_out_of_range(make, v):
     with pytest.raises(ValueError, match=re.escape(f"visibility must be in [0, 1], got {v}")):
         make(v)
+
+
+def _owned_cases():
+    """(build from the caller's arrays, those arrays, the arrays it holds)."""
+    amps = np.eye(8, dtype=complex)[0]
+    yield pytest.param(lambda: qs.StateVector(3, amps), [amps], lambda s: [s.amplitudes],
+                       id="StateVector")
+    mat = np.eye(8, dtype=complex) / 8
+    yield pytest.param(lambda: qs.DensityMatrix(3, mat), [mat], lambda s: [s.matrix],
+                       id="DensityMatrix")
+    f, p, sup = (a.copy() for a in _mod4_arrays())
+    yield pytest.param(lambda: cc.TaskSpec(3, f, p, sup), [f, p, sup],
+                       lambda t: [t.f, t.p_prime, t.support], id="TaskSpec")
+
+
+@pytest.mark.parametrize("build, given, held", _owned_cases())
+def test_constructor_keeps_its_own_copy(build, given, held):
+    """The arrays passed in stay writable, and writing to them afterwards
+    does not reach the checked, read-only arrays the object holds."""
+    kept = held(build())
+    before = [a.copy() for a in kept]
+    for arr, own in zip(given, kept):
+        assert arr.flags.writeable and not own.flags.writeable
+        arr.reshape(-1)[0] = 0
+    assert all(np.array_equal(a, b) for a, b in zip(kept, before))
