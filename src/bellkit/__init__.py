@@ -65,7 +65,6 @@ from .septest import (
     DenseMetric,
     DiagonalMetric,
     IdentifierReport,
-    MetricOperator,
     SeparabilityReport,
     identifier_check,
     identity_proper_metric,

@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import CorrelationTensor, LocalFrame, inplane_norm_sq, max_product_value
-from .qstate import DensityMatrix, _check_count, make_ghz, measurement_distribution
+from .qstate import DensityMatrix, _check_count, _is_int
+from .qstate import make_ghz, measurement_distribution
 
 CHSH_TOL = 1e-10
 ROTATIONAL_TOL = 1e-9
@@ -34,7 +35,8 @@ class DeterministicAssignment:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            if getattr(self, name) not in (-1, 1):
+            value = getattr(self, name)
+            if not (_is_int(value) and value in (-1, 1)):
                 raise ValueError(f"{name} must be +1 or -1")
 
 

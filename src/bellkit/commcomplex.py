@@ -17,7 +17,7 @@ import numpy as np
 
 from .corrtensor import compute_tensor
 from .qstate import _check_count, _check_party_match, _check_unit_rows, _per_party
-from .qstate import as_density, make_ghz, measurement_distribution
+from .qstate import _read_only_copy, as_density, make_ghz, measurement_distribution
 
 
 class UnsupportedTaskError(ValueError):
@@ -41,10 +41,9 @@ class TaskSpec:
     def __post_init__(self):
         n = _check_count(self.n_parties, "n_parties", 2)
         shape = (2,) * n
-        # copies, so that freezing them below leaves the caller's arrays writable
-        f = np.array(self.f, dtype=float)
-        p = np.array(self.p_prime, dtype=float)
-        sup = np.array(self.support, dtype=bool)
+        f = _read_only_copy(self.f, float)
+        p = _read_only_copy(self.p_prime, float)
+        sup = _read_only_copy(self.support, bool)
         if f.shape != shape or p.shape != shape or sup.shape != shape:
             raise ValueError(f"f, p_prime and support must all have shape {shape}")
         # every check is written fail-closed, so that NaN is rejected
@@ -58,8 +57,6 @@ class TaskSpec:
             raise ValueError(f"p_prime must sum to 1 on the support, got {total!r}")
         if not np.all(np.abs(f[sup]) == 1.0):
             raise ValueError("f must be +1 or -1 on every support tuple")
-        for arr in (f, p, sup):
-            arr.setflags(write=False)
         object.__setattr__(self, "n_parties", n)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "p_prime", p)
@@ -113,9 +110,7 @@ class ClassicalStrategy:
         # string and object arrays are rejected, NaN fails the comparison
         if s.dtype.kind not in "iuf" or not np.all(np.abs(s) == 1):
             raise ValueError("strategy signs must be +1 or -1")
-        s = s.astype(int)
-        s.setflags(write=False)
-        object.__setattr__(self, "signs", s)
+        object.__setattr__(self, "signs", _read_only_copy(s, int))
 
     @property
     def n_parties(self) -> int:
@@ -168,6 +163,15 @@ def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
 # --- quantum protocols -------------------------------------------------------
 
 
+def _inplane_settings(angles: np.ndarray) -> np.ndarray:
+    """The unit vectors (cos a, sin a, 0) for an (n_parties, 2) array of
+    angles a, as (n_parties, 2, 3) settings."""
+    out = np.zeros(angles.shape + (3,))
+    out[:, :, 0] = np.cos(angles)
+    out[:, :, 1] = np.sin(angles)
+    return out
+
+
 def mod4_settings(n: int) -> np.ndarray:
     """In-plane measurement directions at angle (pi/2) x_k per party.
 
@@ -175,20 +179,14 @@ def mod4_settings(n: int) -> np.ndarray:
     cos(pi/2 sum x) = f on every promise input, so the protocol is exact.
     """
     angles = np.array([[0.0, np.pi / 2]] * _check_count(n, "n_parties", 2))
-    out = np.zeros((n, 2, 3))
-    out[:, :, 0] = np.cos(angles)
-    out[:, :, 1] = np.sin(angles)
-    return out
+    return _inplane_settings(angles)
 
 
 def chsh_game_settings() -> np.ndarray:
     """Directions realizing the equality-probability target of the game:
     party 1 at angle (pi/2) x1 - pi/4, party 2 at (pi/2) x2."""
     angles = np.array([[-np.pi / 4, np.pi / 4], [0.0, np.pi / 2]])
-    out = np.zeros((2, 2, 3))
-    out[:, :, 0] = np.cos(angles)
-    out[:, :, 1] = np.sin(angles)
-    return out
+    return _inplane_settings(angles)
 
 
 def chsh_game_target(x1: int, x2: int) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .qstate import MAX_QUBITS, DensityMatrix, NumericalIntegrityError
 from .qstate import _PAULI_PAIRS, _check_count, _check_party_match, _check_unit_rows
-from .qstate import _pair_axes, _per_party
+from .qstate import _pair_axes, _per_party, _read_only_copy
 
 DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-12
@@ -24,7 +24,12 @@ DEFAULT_MAX_SWEEPS = 500
 
 @dataclass(frozen=True)
 class CorrelationTensor:
-    """Real array of 4^N expectation values, shape (4,)*N, C-ordered."""
+    """Real array of 4^N expectation values, shape (4,)*N, C-ordered.
+
+    Takes over ``values``: a float array is frozen in place, not copied,
+    because compute_tensor hands over the strided real part of its
+    contraction and a copy would change the bits of the ascent run on it.
+    """
 
     n_qubits: int
     values: np.ndarray
@@ -49,32 +54,25 @@ class CorrelationTensor:
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Per-party orthonormal measurement axes, two or three per party."""
+    """Per-party orthonormal measurement axes spanning each party's plane."""
 
-    axes: np.ndarray  # shape (n_parties, n_axes, 3)
+    axes: np.ndarray  # shape (n_parties, 2, 3)
 
     def __post_init__(self):
-        ax = np.asarray(self.axes, dtype=float)
-        if ax.ndim != 3 or ax.shape[2] != 3 or ax.shape[1] not in (2, 3):
-            raise ValueError(
-                f"axes must have shape (n_parties, 2 or 3, 3), got {ax.shape}"
-            )
+        ax = _read_only_copy(self.axes, float)
+        if ax.ndim != 3 or ax.shape[1:] != (2, 3):
+            raise ValueError(f"axes must have shape (n_parties, 2, 3), got {ax.shape}")
         _check_count(ax.shape[0], "n_parties", 1, MAX_QUBITS)
         _check_unit_rows(ax)  # finite unit axes; the Gram test adds orthogonality
         gram = np.einsum("kaK,kbK->kab", ax, ax)
-        err = float(np.max(np.abs(gram - np.eye(ax.shape[1]))))
+        err = float(np.max(np.abs(gram - np.eye(2))))
         if not err <= 1e-12:
             raise ValueError(f"axes not orthonormal: max Gram deviation {err:g}")
-        ax.setflags(write=False)
         object.__setattr__(self, "axes", ax)
 
     @property
     def n_parties(self) -> int:
         return self.axes.shape[0]
-
-    @property
-    def n_axes(self) -> int:
-        return self.axes.shape[1]
 
 
 def xy_frame(n_parties: int) -> LocalFrame:
@@ -114,15 +112,13 @@ def tensor_dot(s: CorrelationTensor, q: CorrelationTensor) -> float:
 
 
 def frame_components(t: CorrelationTensor, frame: LocalFrame) -> np.ndarray:
-    """Tensor components along the frame axes: an (n_axes,)*N array."""
+    """Tensor components along the frame axes: a (2,)*N array."""
     _check_party_match("tensor", t.n_qubits, "frame", frame.n_parties)
     return _per_party(t.proper, frame.axes)
 
 
 def inplane_norm_sq(t: CorrelationTensor, frame: LocalFrame) -> float:
     """Sum of squared components over the two frame axes of every party."""
-    if frame.n_axes != 2:
-        raise ValueError(f"frame must have exactly 2 axes per party, got {frame.n_axes}")
     comps = frame_components(t, frame)
     return float(np.sum(comps**2))
 
@@ -219,7 +215,7 @@ def max_product_value(
     """Maximize the correlation function over unit product directions.
 
     With ``frame=None`` each party ranges over all of 3-space; with a
-    two-axis frame each party is restricted to its plane.  Alternating
+    frame each party is restricted to its plane.  Alternating
     ascent: the optimal vector for one party given the others is the
     normalized partial contraction, so every step is exact and monotone.
     The DEFAULT_RESTARTS restarts are seeded from (seed, restart index);
@@ -235,8 +231,6 @@ def max_product_value(
         best_idx = np.unravel_index(np.argmax(np.abs(proper)), proper.shape)
         axis_start = np.eye(3)[list(best_idx)]
     else:
-        if frame.n_axes != 2:
-            raise ValueError("plane restriction needs a frame with 2 axes per party")
         comps = frame_components(t, frame)
         best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
         axis_start = frame.axes[np.arange(n), list(best_idx)]

@@ -62,6 +62,15 @@ def _check_party_match(first: str, n: int, second: str, m: int) -> None:
         raise ValueError(f"party count mismatch: {first} has {n}, {second} has {m}")
 
 
+def _read_only_copy(value, dtype) -> np.ndarray:
+    """A read-only copy of value as an array of dtype.  Value types hold
+    their arrays this way: the caller's array stays writable, and writing
+    to it cannot reach an object that has been checked."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def _check_visibility(v: float) -> None:
     if not 0.0 <= v <= 1.0:  # fail-closed: NaN is rejected
         raise ValueError(f"visibility must be in [0, 1], got {v}")
@@ -76,8 +85,7 @@ class StateVector:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        # a copy: a view would let the caller change the state after the checks
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _read_only_copy(self.amplitudes, complex).reshape(-1)
         if amps.shape != (2**n,):
             raise ValueError(
                 f"amplitude vector must have length {2**n}, got {amps.shape[0]}"
@@ -87,13 +95,8 @@ class StateVector:
         # tolerance tests are written fail-closed so that NaN is rejected
         if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     def projector(self) -> "DensityMatrix":
         """Return |psi><psi| as a DensityMatrix."""
@@ -110,8 +113,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        # a copy, so that freezing it below leaves the caller's array writable
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _read_only_copy(self.matrix, complex)
         dim = 2**n
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")
@@ -120,13 +122,8 @@ class DensityMatrix:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_err:g}")
         _check_trace(mat)
         _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
-        mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 def _check_trace(mat: np.ndarray) -> None:
@@ -267,6 +264,8 @@ def measurement_distribution(state, directions) -> np.ndarray:
     Returns an array of shape (2,)*N; index bit 0 along qubit k means
     outcome +1 on that qubit, bit 1 means outcome -1.
     """
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
     dirs = np.asarray(directions, dtype=float)
     n = state.n_qubits
     if dirs.shape != (n, 3):
@@ -279,7 +278,7 @@ def measurement_distribution(state, directions) -> np.ndarray:
             amp = np.tensordot(basis[k].conj().T, amp, axes=([1], [k]))
             amp = np.moveaxis(amp, 0, k)
         probs = np.abs(amp) ** 2
-    elif isinstance(state, DensityMatrix):
+    else:
         mat = state.matrix.reshape((2,) * (2 * n))
         for k in range(n):
             mat = np.moveaxis(
@@ -292,8 +291,6 @@ def measurement_distribution(state, directions) -> np.ndarray:
             "ii->i", mat.reshape((2**n, 2**n))
         )
         probs = diag.real.reshape((2,) * n)
-    else:
-        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
     low = float(probs.min())
     if not low >= -1e-10:
         raise NumericalIntegrityError(f"negative Born probability {low:g}")

@@ -31,6 +31,7 @@ from .qstate import (
     _check_party_match,
     _float_array,
     _load_json,
+    _read_only_copy,
     _require_positive,
     product_matrix,
 )
@@ -70,30 +71,16 @@ def separability_check(rho: DensityMatrix, seed: int = 0) -> SeparabilityReport:
 # --- metric operators --------------------------------------------------------
 
 
-class MetricOperator:
-    """Non-negative symmetric bilinear form on 4^N tensor components.
-
-    Coordinates follow the C-order flattening of the (4,)*N component
-    array, matching the CSV export row order.
-    """
-
-    n_qubits: int
-
-    def apply(self, flat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DiagonalMetric(MetricOperator):
+class DiagonalMetric:
     """Metric with one non-negative weight per tensor coordinate."""
 
     def __init__(self, n_qubits: int, weights):
         n = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        w = _read_only_copy(weights, float).reshape(-1)
         if w.shape != (4**n,):
             raise ValueError(f"need {4**n} weights for {n} qubits, got {w.size}")
         if not np.min(w) >= -1e-10:
             raise ValueError(f"metric weights must be non-negative, min = {w.min():g}")
-        w.setflags(write=False)
         self.n_qubits = n
         self.weights = w
 
@@ -101,20 +88,19 @@ class DiagonalMetric(MetricOperator):
         return self.weights * flat
 
 
-class DenseMetric(MetricOperator):
+class DenseMetric:
     """Metric stored as a dense symmetric positive semidefinite matrix."""
 
     def __init__(self, n_qubits: int, matrix):
         n = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
         dim = 4**n
-        m = np.asarray(matrix, dtype=float)
+        m = _read_only_copy(matrix, float)
         if m.shape != (dim, dim):
             raise ValueError(f"metric matrix must be {dim}x{dim}, got {m.shape}")
         sym_err = float(np.max(np.abs(m - m.T)))
         if not sym_err <= 1e-12:
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
         _require_positive(m, "metric not non-negative: min eigenvalue {:g}")
-        m.setflags(write=False)
         self.n_qubits = n
         self.matrix = m
 
@@ -160,7 +146,7 @@ class IdentifierReport:
 
 
 def identifier_check(
-    rho_ent: DensityMatrix, metric: MetricOperator, seed: int = 0
+    rho_ent: DensityMatrix, metric: DiagonalMetric | DenseMetric, seed: int = 0
 ) -> IdentifierReport:
     """Metric-operator entanglement identifier.
 
@@ -214,10 +200,12 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
 #
 # { "kind": "diagonal", "weights": [...] }  or
 # { "kind": "dense",    "matrix": [[...], ...] }
-# Coordinates are ordered like the CSV tensor export (C-order index tuples).
+# A metric is a non-negative symmetric bilinear form on the 4^N tensor
+# components.  Coordinates follow the C-order flattening of the (4,)*N
+# component array, the row order of the CSV tensor export.
 
 
-def metric_from_json(obj, n_qubits: int) -> MetricOperator:
+def metric_from_json(obj, n_qubits: int) -> DiagonalMetric | DenseMetric:
     if not isinstance(obj, dict):
         raise ValueError("metric document must be a JSON object")
     kind = obj.get("kind")
@@ -237,6 +225,6 @@ def metric_from_json(obj, n_qubits: int) -> MetricOperator:
     return DenseMetric(n_qubits, arr)
 
 
-def load_metric(path, n_qubits: int) -> MetricOperator:
+def load_metric(path, n_qubits: int) -> DiagonalMetric | DenseMetric:
     with open(path, "r", encoding="utf-8") as fh:
         return metric_from_json(_load_json(fh, "metric"), n_qubits)

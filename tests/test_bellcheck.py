@@ -28,8 +28,15 @@ class TestLemma:
         assert rec.max_count == rec.values.count(0) > 0
 
     def test_rejects_non_sign_values(self):
-        with pytest.raises(ValueError):
-            bc.DeterministicAssignment(1, 0, 1, 1)
+        # bool and float compare equal to 1 but are not integer outcomes
+        for args, name in [
+            ((1, 0, 1, 1), "a2"),
+            ((True, 1.0, 1, 1), "a1"),
+            ((1, 1.0, 1, 1), "a2"),
+            ((1, 1, 1, -1.0), "b2"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^{name} must be \+1 or -1$"):
+                bc.DeterministicAssignment(*args)
 
 
 class TestChshProbabilityValue:

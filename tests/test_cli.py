@@ -205,7 +205,7 @@ class TestCommrun:
         )
         assert code == 2
 
-    def test_beyond_exhaustive_cap_uses_closed_form_bound(self, capsys):
+    def test_mod4_at_14_parties_reports_bound_and_exact_sequential(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "commrun", "--task", "mod4", "--n", "14",

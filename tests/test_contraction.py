@@ -34,10 +34,9 @@ def unit_rows(rng, shape):
 
 
 def frames(n, rng):
-    """xy, random two-axis and random three-axis frames on n parties."""
+    """xy and random frames on n parties."""
     yield ct.xy_frame(n)
     yield ct.LocalFrame(np.stack([random_rotation(rng)[:2] for _ in range(n)]))
-    yield ct.LocalFrame(np.stack([random_rotation(rng) for _ in range(n)]))
 
 
 def test_per_party_keeps_party_order():

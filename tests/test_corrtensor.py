@@ -173,12 +173,6 @@ class TestInplaneNormSq:
         t = ct.compute_tensor(qs.make_werner(1.0))
         assert ct.inplane_norm_sq(t, ct.xy_frame(2)) == pytest.approx(2.0, abs=1e-12)
 
-    def test_three_axis_frame_rejected(self):
-        t = ct.compute_tensor(qs.make_werner(1.0))
-        full = ct.LocalFrame(np.broadcast_to(np.eye(3), (2, 3, 3)).copy())
-        with pytest.raises(ValueError, match="2 axes"):
-            ct.inplane_norm_sq(t, full)
-
     def test_frame_invariance_under_inplane_rotation(self):
         # the in-plane sum of squares is invariant under rotations of the
         # two axes inside their plane
@@ -196,6 +190,13 @@ class TestInplaneNormSq:
 
 
 class TestLocalFrame:
+    def test_three_axis_frame_rejected(self):
+        full = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+        with pytest.raises(
+            ValueError, match=r"^axes must have shape \(n_parties, 2, 3\), got \(2, 3, 3\)$"
+        ):
+            ct.LocalFrame(full)
+
     def test_rejects_non_orthonormal(self):
         axes = np.zeros((1, 2, 3))
         axes[0, 0] = [1.0, 0.0, 0.0]

@@ -176,6 +176,18 @@ def _owned_cases():
     f, p, sup = (a.copy() for a in _mod4_arrays())
     yield pytest.param(lambda: cc.TaskSpec(3, f, p, sup), [f, p, sup],
                        lambda t: [t.f, t.p_prime, t.support], id="TaskSpec")
+    signs = np.ones((3, 2), dtype=int)
+    yield pytest.param(lambda: cc.ClassicalStrategy(signs), [signs], lambda c: [c.signs],
+                       id="ClassicalStrategy")
+    axes = np.array(ct.xy_frame(3).axes)
+    yield pytest.param(lambda: ct.LocalFrame(axes), [axes], lambda fr: [fr.axes],
+                       id="LocalFrame")
+    weights = np.ones(64)
+    yield pytest.param(lambda: st.DiagonalMetric(3, weights), [weights],
+                       lambda m: [m.weights], id="DiagonalMetric")
+    metric = np.eye(16)
+    yield pytest.param(lambda: st.DenseMetric(2, metric), [metric], lambda m: [m.matrix],
+                       id="DenseMetric")
 
 
 @pytest.mark.parametrize("build, given, held", _owned_cases())

@@ -384,6 +384,11 @@ class TestMeasurementDistribution:
         assert probs[1, 1] == pytest.approx(0.5, abs=1e-12)
         assert probs[0, 1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_rejects_a_non_state(self):
+        message = "^expected StateVector or DensityMatrix, got <class 'str'>$"
+        with pytest.raises(TypeError, match=message):
+            qs.measurement_distribution("x", [(0, 0, 1)])
+
     def test_vector_and_matrix_paths_agree(self):
         rng = np.random.default_rng(9)
         state = qs.make_ghz(3)
