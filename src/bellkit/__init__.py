@@ -35,7 +35,6 @@ from .corrtensor import (
 )
 from .bellcheck import (
     BellReport,
-    DeterministicAssignment,
     RotationalReport,
     chsh_optimal_configuration,
     chsh_probability_value,
@@ -45,10 +44,8 @@ from .bellcheck import (
     threshold_rows,
 )
 from .commcomplex import (
-    ClassicalStrategy,
     ProtocolResult,
     TaskSpec,
-    UnsupportedTaskError,
     chsh_game_equality_frequencies,
     chsh_game_settings,
     chsh_game_target,

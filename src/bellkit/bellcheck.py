@@ -17,27 +17,11 @@ from itertools import product
 import numpy as np
 
 from .corrtensor import CorrelationTensor, LocalFrame, inplane_norm_sq, max_product_value
-from .qstate import DensityMatrix, _check_count, _is_int
+from .qstate import DensityMatrix, _check_count, _check_state
 from .qstate import make_ghz, measurement_distribution
 
 CHSH_TOL = 1e-10
 ROTATIONAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DeterministicAssignment:
-    """Predetermined +-1 outcomes for both settings on both sides."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value in (-1, 1)):
-                raise ValueError(f"{name} must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -47,26 +31,20 @@ class LemmaRecord:
     values: tuple
 
 
-def bell_expression(assignment: DeterministicAssignment) -> int:
-    """Integer value of the four-proposition expression for one assignment."""
-    a = assignment
-    return (
-        int(a.a1 == a.b2) - int(a.a1 == a.b1) - int(a.a2 == a.b1) - int(a.a2 == a.b2)
-    )
-
-
 def lr_lemma_exhaustive() -> LemmaRecord:
-    """Sweep all 16 deterministic assignments; the maximum must be 0.
+    """Sweep all 16 deterministic assignments of +-1 outcomes (a1, a2, b1,
+    b2), in the order of product((-1, 1), repeat=4); the maximum must be 0.
 
     Uses integer arithmetic throughout, so the bound is exact.
     """
-    values = []
-    for a1, a2, b1, b2 in product((-1, 1), repeat=4):
-        values.append(bell_expression(DeterministicAssignment(a1, a2, b1, b2)))
+    values = tuple(
+        int(a1 == b2) - int(a1 == b1) - int(a2 == b1) - int(a2 == b2)
+        for a1, a2, b1, b2 in product((-1, 1), repeat=4)
+    )
     top = max(values)
     if top > 0:
         raise AssertionError(f"deterministic assignment exceeded 0: {top}")
-    return LemmaRecord(max_value=top, max_count=values.count(top), values=tuple(values))
+    return LemmaRecord(max_value=top, max_count=values.count(top), values=values)
 
 
 @dataclass(frozen=True)
@@ -88,6 +66,7 @@ def chsh_probability_value(rho: DensityMatrix, a_dirs, b_dirs) -> BellReport:
 
     ``a_dirs`` and ``b_dirs`` each hold two unit 3-vectors (settings 1, 2).
     """
+    _check_state(rho)
     if rho.n_qubits != 2:
         raise ValueError(f"need a two-qubit state, got {rho.n_qubits} qubits")
     a_dirs = np.asarray(a_dirs, dtype=float)

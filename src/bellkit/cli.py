@@ -145,13 +145,13 @@ def cmd_commrun(args) -> int:
 
 
 def cmd_septest(args) -> int:
-    rho = qstate.as_density(qstate.load_state(args.state))
+    state = qstate.load_state(args.state)
     if args.metric is None:
-        report = septest.separability_check(rho, seed=args.seed)
+        report = septest.separability_check(state, seed=args.seed)
         norm_sq, t_max, detected = report.norm_sq, report.t_max, report.entangled_detected
     else:
-        metric = septest.load_metric(args.metric, rho.n_qubits)
-        report = septest.identifier_check(rho, metric, seed=args.seed)
+        metric = septest.load_metric(args.metric, state.n_qubits)
+        report = septest.identifier_check(state, metric, seed=args.seed)
         norm_sq, t_max, detected = report.rhs, report.lhs_max, report.detected
     doc = {
         "norm_sq": norm_sq,
@@ -166,8 +166,7 @@ def cmd_septest(args) -> int:
 
 
 def cmd_tensor_export(args) -> int:
-    rho = qstate.as_density(qstate.load_state(args.state))
-    tensor = corrtensor.compute_tensor(rho)
+    tensor = corrtensor.compute_tensor(qstate.load_state(args.state))
     buf = io.StringIO()
     corrtensor.tensor_to_csv(tensor, buf)
     _emit(buf.getvalue(), args.out)

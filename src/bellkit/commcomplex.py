@@ -10,48 +10,45 @@ sign functions c_n, maximized at sign assignments c_n(x_n) = +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .corrtensor import compute_tensor
 from .qstate import _check_count, _check_party_match, _check_unit_rows, _per_party
-from .qstate import _read_only_copy, as_density, make_ghz, measurement_distribution
-
-
-class UnsupportedTaskError(ValueError):
-    """The task does not fit the requested protocol."""
+from .qstate import _check_state, _read_only_copy, make_ghz, measurement_distribution
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task function, its promise support, and the input distribution.
+    """A task function and the input distribution.
 
     ``f`` and ``p_prime`` are arrays of shape (2,)*n_parties indexed by the
-    x bits; ``support`` is the boolean promise mask.  f must be +-1 on the
-    support and is ignored elsewhere.
+    x bits.  The promise is where p_prime is positive; ``support`` holds it
+    as a read-only boolean mask.  f must be +-1 on the support and is
+    ignored elsewhere.
     """
 
     n_parties: int
     f: np.ndarray
     p_prime: np.ndarray
-    support: np.ndarray
+    support: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = _check_count(self.n_parties, "n_parties", 2)
         shape = (2,) * n
         f = _read_only_copy(self.f, float)
         p = _read_only_copy(self.p_prime, float)
-        sup = _read_only_copy(self.support, bool)
-        if f.shape != shape or p.shape != shape or sup.shape != shape:
-            raise ValueError(f"f, p_prime and support must all have shape {shape}")
+        if f.shape != shape or p.shape != shape:
+            raise ValueError(f"f and p_prime must both have shape {shape}")
         # every check is written fail-closed, so that NaN is rejected
         bad = p[~(p >= 0)]
         if bad.size:
             raise ValueError(f"p_prime must be non-negative, got {bad[0]}")
-        if not np.all(p[~sup] == 0):
-            raise ValueError("p_prime must vanish off the promise support")
+        sup = p > 0
+        sup.setflags(write=False)
         total = float(p[sup].sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"p_prime must sum to 1 on the support, got {total!r}")
@@ -72,59 +69,20 @@ class TaskSpec:
 def make_mod4_task(n: int) -> TaskSpec:
     """The modulo-4 sum game on n >= 2 partners.
 
-    Promise: sum of the x bits is even.  On the support
-    f = cos(pi/2 sum x) = +-1 and p' = 2^(1-n) |f| is uniform.
+    f = cos(pi/2 sum x) is the real part of the product of the per-party
+    phases i^(x_k), exact in products of 0, +-1 and +-i: +-1 where the sum
+    of the x bits is even (the promise) and zero where it is odd.
+    p' = 2^(1-n) |f| is uniform on the promise.
     """
     n = _check_count(n, "n_parties", 2)
-    sums = np.zeros((2,) * n, dtype=int)
-    for k in range(n):
-        shape = [1] * n
-        shape[k] = 2
-        sums = sums + np.arange(2).reshape(shape)
-    f = np.where(sums % 2 == 0, np.where(sums % 4 == 0, 1.0, -1.0), 0.0)
-    support = sums % 2 == 0
-    p_prime = np.where(support, 2.0 ** (1 - n), 0.0)
-    return TaskSpec(n, f, p_prime, support)
+    f = reduce(np.kron, [np.array([1, 1j])] * n).real.reshape((2,) * n)
+    return TaskSpec(n, f, 2.0 ** (1 - n) * np.abs(f))
 
 
 def make_chsh_game() -> TaskSpec:
     """Two-partner game with no promise: f = +1 unless x1 = x2 = 1."""
     f = np.array([[1.0, 1.0], [1.0, -1.0]])
-    p_prime = np.full((2, 2), 0.25)
-    support = np.ones((2, 2), dtype=bool)
-    return TaskSpec(2, f, p_prime, support)
-
-
-@dataclass(frozen=True)
-class ClassicalStrategy:
-    """Per-party sign functions c_n: {0,1} -> {-1,+1}, as an (n, 2) array."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.signs)
-        if s.ndim != 2 or s.shape[1] != 2:
-            raise ValueError(f"signs must have shape (n_parties, 2), got {s.shape}")
-        _check_count(s.shape[0], "n_parties", 1)
-        # checked before the int cast, which would truncate 1.5 to 1; bool,
-        # string and object arrays are rejected, NaN fails the comparison
-        if s.dtype.kind not in "iuf" or not np.all(np.abs(s) == 1):
-            raise ValueError("strategy signs must be +1 or -1")
-        object.__setattr__(self, "signs", _read_only_copy(s, int))
-
-    @property
-    def n_parties(self) -> int:
-        return self.signs.shape[0]
-
-    @classmethod
-    def from_index(cls, n_parties: int, index: int) -> "ClassicalStrategy":
-        """Decode a 2N-bit integer: party 1 in the highest bit pair, within
-        a pair input 0 first; bit 0 encodes +1, bit 1 encodes -1."""
-        n_parties = _check_count(n_parties, "n_parties", 1)
-        index = _check_count(index, "index", 0, 4**n_parties - 1)
-        bits = [(index >> (2 * n_parties - 1 - i)) & 1 for i in range(2 * n_parties)]
-        signs = 1 - 2 * np.array(bits).reshape(n_parties, 2)
-        return cls(signs)
+    return TaskSpec(2, f, np.full((2, 2), 0.25))
 
 
 # The two sign functions on one bit with c(0) = +1, by 2-bit code:
@@ -134,8 +92,16 @@ _HALF_STRATEGIES = np.array([[1, 1], [1, -1]], dtype=float)
 
 @dataclass(frozen=True)
 class ClassicalOptimum:
+    """The largest |F|, and the first sign assignment that reaches it.
+
+    ``signs`` is a read-only int (n_parties, 2) array: row k holds
+    c_k(0), c_k(1).  ``index`` is the assignment's position in the
+    lexicographic order of all 4^N: party 1 in the highest base-4 digit,
+    whose code is 2 [c(0) = -1] + [c(1) = -1].
+    """
+
     f_star: float
-    strategy: ClassicalStrategy
+    signs: np.ndarray
     index: int
 
 
@@ -152,11 +118,11 @@ def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
     n = task.n_parties
     fid = np.abs(_per_party(task.g, [_HALF_STRATEGIES] * n)).reshape(-1)
     best = int(np.argmax(fid))
-    idx = int(format(best, f"0{n}b"), 4)  # party k's bit becomes its code
+    bits = format(best, f"0{n}b")  # party 1 first
     return ClassicalOptimum(
         f_star=float(fid[best]),
-        strategy=ClassicalStrategy.from_index(n, idx),
-        index=idx,
+        signs=_read_only_copy(_HALF_STRATEGIES[list(map(int, bits))], int),
+        index=int(bits, 4),  # party k's bit becomes its code
     )
 
 
@@ -198,6 +164,7 @@ def chsh_game_target(x1: int, x2: int) -> float:
 def _check_settings(task: TaskSpec, state, settings) -> np.ndarray:
     """The settings as a checked (n_parties, 2, 3) array of unit vectors,
     once the state has the task's party count."""
+    _check_state(state)
     _check_party_match("task", task.n_parties, "state", state.n_qubits)
     s = np.asarray(settings, dtype=float)
     if s.shape != (task.n_parties, 2, 3):
@@ -211,7 +178,7 @@ def quantum_fidelity_analytic(task: TaskSpec, state, settings) -> float:
     """F = sum_x g(x) E(x), with E(x) = <prod_k n_k(x_k).sigma> for every x
     from one contraction of the correlation tensor with the settings."""
     s = _check_settings(task, state, settings)
-    e = _per_party(compute_tensor(as_density(state)).proper, s)
+    e = _per_party(compute_tensor(state).proper, s)
     # f is ignored off the support, so sum only there
     return float(np.sum(task.g[task.support] * e[task.support]))
 
@@ -302,7 +269,7 @@ def _require_mod4(task: TaskSpec) -> None:
         or not np.allclose(task.p_prime, ref.p_prime)
         or not np.array_equal(task.f[task.support], ref.f[ref.support])
     ):
-        raise UnsupportedTaskError(
+        raise ValueError(
             "the sequential single-qubit protocol is defined for the "
             "modulo-4 sum task only"
         )

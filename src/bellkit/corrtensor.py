@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import MAX_QUBITS, DensityMatrix, NumericalIntegrityError
+from .qstate import MAX_QUBITS, DensityMatrix, NumericalIntegrityError, StateVector
 from .qstate import _PAULI_PAIRS, _check_count, _check_party_match, _check_unit_rows
-from .qstate import _pair_axes, _per_party, _read_only_copy
+from .qstate import _pair_axes, _per_party, _read_only_copy, as_density
 
 DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-12
@@ -83,13 +83,14 @@ def xy_frame(n_parties: int) -> LocalFrame:
     return LocalFrame(ax)
 
 
-def compute_tensor(rho: DensityMatrix) -> CorrelationTensor:
-    """Extract the full correlation tensor of a density matrix.
+def compute_tensor(state: StateVector | DensityMatrix) -> CorrelationTensor:
+    """Extract the full correlation tensor of a pure or mixed state.
 
-    Traces qubit by qubit against the four Paulis on the matrix's (row,
-    col) pairs, so the cost is O(N 4^N) instead of 4^N separate operator
-    traces.
+    Traces the density matrix qubit by qubit against the four Paulis on its
+    (row, col) pairs, so the cost is O(N 4^N) instead of 4^N separate
+    operator traces.
     """
+    rho = as_density(state)
     n = rho.n_qubits
     arr = _per_party(_pair_axes(rho.matrix, n), [_PAULI_PAIRS] * n)
     residue = float(np.max(np.abs(arr.imag)))

@@ -165,9 +165,16 @@ def _require_positive(mat: np.ndarray, message: str) -> None:
         raise ValueError(message.format(min_eig))
 
 
+def _check_state(state) -> None:
+    """A TypeError unless state is a StateVector or a DensityMatrix."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
+
+
 def as_density(state) -> DensityMatrix:
     """The density matrix of a state: the projector of a StateVector, a
     DensityMatrix unchanged."""
+    _check_state(state)
     return state.projector() if isinstance(state, StateVector) else state
 
 
@@ -264,8 +271,7 @@ def measurement_distribution(state, directions) -> np.ndarray:
     Returns an array of shape (2,)*N; index bit 0 along qubit k means
     outcome +1 on that qubit, bit 1 means outcome -1.
     """
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
+    _check_state(state)
     dirs = np.asarray(directions, dtype=float)
     n = state.n_qubits
     if dirs.shape != (n, 3):
@@ -306,16 +312,11 @@ def measurement_distribution(state, directions) -> np.ndarray:
 
 def state_to_json(state) -> dict:
     """Encode a StateVector or DensityMatrix as a JSON-ready dict."""
-    if isinstance(state, StateVector):
-        flat = state.amplitudes
-        kind = "pure"
-    elif isinstance(state, DensityMatrix):
-        flat = state.matrix.reshape(-1)
-        kind = "mixed"
-    else:
-        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)!r}")
+    _check_state(state)
+    pure = isinstance(state, StateVector)
+    flat = state.amplitudes if pure else state.matrix.reshape(-1)
     data = np.stack([flat.real, flat.imag], axis=1).tolist()
-    return {"n_qubits": state.n_qubits, "kind": kind, "data": data}
+    return {"n_qubits": state.n_qubits, "kind": "pure" if pure else "mixed", "data": data}
 
 
 def _float_array(value):

@@ -27,6 +27,7 @@ from .qstate import (
     MAX_QUBITS,
     DensityMatrix,
     NumericalIntegrityError,
+    StateVector,
     _check_count,
     _check_party_match,
     _float_array,
@@ -48,7 +49,7 @@ class SeparabilityReport:
     converged: bool
 
 
-def separability_check(rho: DensityMatrix, seed: int = 0) -> SeparabilityReport:
+def separability_check(rho: StateVector | DensityMatrix, seed: int = 0) -> SeparabilityReport:
     """Tensor-norm test: entangled if (T, T) exceeds T^max.
 
     A False verdict is inconclusive; a True verdict certifies
@@ -146,7 +147,7 @@ class IdentifierReport:
 
 
 def identifier_check(
-    rho_ent: DensityMatrix, metric: DiagonalMetric | DenseMetric, seed: int = 0
+    rho_ent: StateVector | DensityMatrix, metric: DiagonalMetric | DenseMetric, seed: int = 0
 ) -> IdentifierReport:
     """Metric-operator entanglement identifier.
 
@@ -154,8 +155,8 @@ def identifier_check(
     states falls short of <t_ent, G t_ent>, which is impossible for a
     separable t_ent.
     """
-    _check_party_match("state", rho_ent.n_qubits, "metric", metric.n_qubits)
     t = compute_tensor(rho_ent)
+    _check_party_match("state", t.n_qubits, "metric", metric.n_qubits)
     w = metric.apply(t.values.reshape(-1)).reshape(t.values.shape)
     with np.errstate(over="ignore"):  # reported below
         rhs = float(np.vdot(t.values, w))

@@ -6,9 +6,11 @@ These are the versions that the one per-party contraction in
 one correlation-function call per support tuple.  Tests require the
 package versions to return bitwise-equal arrays and values, except the
 analytic fidelity, which now sums in a different order.
-``reference_tensor_to_density``, ``reference_correlation_function`` and
-``reference_signed_sum`` have no package counterpart; tests use them as
-plain tools.
+``reference_tensor_to_density``, ``reference_correlation_function``,
+``reference_signed_sum`` and ``reference_strategy_signs`` have no package
+counterpart; tests use them as plain tools.  ``reference_mod4_arrays`` is
+the integer-sum builder of the modulo-4 task that ``make_mod4_task`` no
+longer uses.
 """
 
 import numpy as np
@@ -82,6 +84,14 @@ def reference_signed_sum(g: np.ndarray, signs: np.ndarray) -> float:
 _PARTY_STRATEGIES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
 
+def reference_strategy_signs(n: int, index: int) -> np.ndarray:
+    """The int (n, 2) signs of strategy ``index`` in the order of
+    reference_all_strategy_fidelities: party 1 in the highest base-4
+    digit, each digit a row of _PARTY_STRATEGIES."""
+    codes = [(index >> 2 * (n - 1 - k)) & 3 for k in range(n)]
+    return _PARTY_STRATEGIES[codes].astype(int)
+
+
 def reference_all_strategy_fidelities(task) -> np.ndarray:
     out = task.g
     for _ in range(task.n_parties):
@@ -98,3 +108,17 @@ def reference_quantum_fidelity(task, tensor: CorrelationTensor, settings) -> flo
         dirs = s[np.arange(task.n_parties), list(x)]
         total += task.g[x] * reference_correlation_function(tensor, dirs)
     return float(total)
+
+
+def reference_mod4_arrays(n: int) -> tuple:
+    """(f, support, p_prime) of the modulo-4 task from the integer sums of
+    the x bits, one broadcast addition per party."""
+    sums = np.zeros((2,) * n, dtype=int)
+    for k in range(n):
+        shape = [1] * n
+        shape[k] = 2
+        sums = sums + np.arange(2).reshape(shape)
+    f = np.where(sums % 2 == 0, np.where(sums % 4 == 0, 1.0, -1.0), 0.0)
+    support = sums % 2 == 0
+    p_prime = np.where(support, 2.0 ** (1 - n), 0.0)
+    return f, support, p_prime

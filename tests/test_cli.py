@@ -199,11 +199,16 @@ class TestCommrun:
         assert peak < 1 << 20
 
     def test_unsupported_combination_exits_2(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "commrun", "--task", "chsh-game", "--n", "2", "--protocol", "sequential",
         )
         assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the sequential single-qubit protocol is defined for the "
+            "modulo-4 sum task only\n"
+        )
 
     def test_mod4_at_14_parties_reports_bound_and_exact_sequential(self, capsys):
         code, out, _ = run_cli(

@@ -8,7 +8,12 @@ import pytest
 from bellkit import commcomplex as cc
 from bellkit import qstate as qs
 from bellkit.corrtensor import compute_tensor
-from contraction_reference import reference_all_strategy_fidelities, reference_signed_sum
+from contraction_reference import (
+    reference_all_strategy_fidelities,
+    reference_mod4_arrays,
+    reference_signed_sum,
+    reference_strategy_signs,
+)
 from oracles import tree_protocol_optimum
 
 
@@ -32,6 +37,21 @@ class TestMod4Task:
         assert task.f[0, 0] == 1.0 and task.f[1, 1] == -1.0
         assert task.p_prime[0, 0] == task.p_prime[1, 1] == 0.5
 
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_the_sum_loop_builder(self, n):
+        task = cc.make_mod4_task(n)
+        f, support, p_prime = reference_mod4_arrays(n)
+        assert np.array_equal(task.support, support)
+        assert task.p_prime.tobytes() == p_prime.tobytes()
+        assert task.f[support].tobytes() == f[support].tobytes()
+
+    def test_support_is_the_read_only_promise(self):
+        task = cc.make_chsh_game()
+        assert task.support.all() and not task.support.flags.writeable
+        task = cc.TaskSpec(3, np.ones((2,) * 3), np.eye(8)[5].reshape((2,) * 3))
+        assert np.argwhere(task.support).tolist() == [[1, 0, 1]]
+        assert not task.support.flags.writeable
+
     def test_weights_normalized(self):
         for n in range(2, 9):
             task = cc.make_mod4_task(n)
@@ -43,7 +63,7 @@ class TestMod4Task:
         f = np.ones((2, 2))
         p = np.full((2, 2), 0.3)
         with pytest.raises(ValueError, match="sum to 1"):
-            cc.TaskSpec(2, f, p, np.ones((2, 2), dtype=bool))
+            cc.TaskSpec(2, f, p)
 
     @pytest.mark.parametrize(
         "field, on_support, message",
@@ -61,11 +81,11 @@ class TestMod4Task:
         arrays = {"f": task.f.copy(), "p_prime": task.p_prime.copy()}
         arrays[field][(0, 0) if on_support else (0, 1)] = np.nan
         with pytest.raises(ValueError, match=message):
-            cc.TaskSpec(2, arrays["f"], arrays["p_prime"], task.support)
+            cc.TaskSpec(2, arrays["f"], arrays["p_prime"])
 
     def test_nan_f_off_support_is_ignored(self):
         base = cc.make_mod4_task(3)
-        task = cc.TaskSpec(3, np.where(base.support, base.f, np.nan), base.p_prime, base.support)
+        task = cc.TaskSpec(3, np.where(base.support, base.f, np.nan), base.p_prime)
         assert np.array_equal(task.g, base.g)
         opt, ref = cc.classical_optimum(task), cc.classical_optimum(base)
         assert (opt.f_star, opt.index) == (ref.f_star, ref.index)
@@ -85,16 +105,15 @@ class TestReducedFidelity:
     def test_three_party_bound(self):
         task = cc.make_mod4_task(3)
         for idx in range(4**3):
-            strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert abs(strategy_fidelity(task, strat.signs)) <= 0.5 + 1e-15
+            signs = reference_strategy_signs(3, idx)
+            assert abs(strategy_fidelity(task, signs)) <= 0.5 + 1e-15
 
     def test_single_support_point(self):
         f = np.zeros((2, 2))
         f[1, 0] = -1.0
         p = np.zeros((2, 2))
         p[1, 0] = 1.0
-        support = p > 0
-        task = cc.TaskSpec(2, f, p, support)
+        task = cc.TaskSpec(2, f, p)
         signs = np.array([[1, -1], [1, 1]])  # c1(1) c2(0) = -1 matches f
         assert strategy_fidelity(task, signs) == 1.0
 
@@ -133,7 +152,7 @@ class TestClassicalOptimum:
         for n in (2, 3, 4, 5):
             task = cc.make_mod4_task(n)
             opt = cc.classical_optimum(task)
-            assert abs(reference_signed_sum(task.g, opt.strategy.signs)) == pytest.approx(
+            assert abs(reference_signed_sum(task.g, opt.signs)) == pytest.approx(
                 opt.f_star, abs=1e-15
             )
 
@@ -141,16 +160,17 @@ class TestClassicalOptimum:
         task = cc.make_mod4_task(3)
         opt = cc.classical_optimum(task)
         for idx in range(opt.index):
-            strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert abs(reference_signed_sum(task.g, strat.signs)) < opt.f_star
+            signs = reference_strategy_signs(3, idx)
+            assert abs(reference_signed_sum(task.g, signs)) < opt.f_star
 
     def test_strategy_index_round_trip(self):
-        # flat index i of the exhaustive fidelities is the strategy from_index decodes
+        # flat index i of the exhaustive fidelities is the strategy
+        # reference_strategy_signs decodes
         task = cc.make_mod4_task(3)
         fid = reference_all_strategy_fidelities(task).reshape(-1)
         for idx in range(4**3):
-            strat = cc.ClassicalStrategy.from_index(3, idx)
-            assert reference_signed_sum(task.g, strat.signs) == fid[idx]
+            signs = reference_strategy_signs(3, idx)
+            assert reference_signed_sum(task.g, signs) == fid[idx]
 
     def test_chsh_game_bound(self):
         assert cc.classical_optimum(cc.make_chsh_game()).f_star == 0.5
@@ -364,7 +384,11 @@ class TestSequentialProtocol:
             assert result.trials == 10000
 
     def test_rejects_other_tasks(self):
-        with pytest.raises(cc.UnsupportedTaskError):
+        message = (
+            "^the sequential single-qubit protocol is defined for the "
+            "modulo-4 sum task only$"
+        )
+        with pytest.raises(ValueError, match=message):
             cc.run_sequential_protocol(cc.make_chsh_game(), 10, seed=0)
 
     def test_seed_determinism(self):

@@ -16,6 +16,7 @@ from contraction_reference import (
     reference_compute_tensor,
     reference_frame_components,
     reference_quantum_fidelity,
+    reference_signed_sum,
 )
 from oracles import random_density, random_rotation
 
@@ -76,19 +77,21 @@ def optimum_tasks(n):
         support.flat[rng.integers(support.size)] = True
         p = np.where(support, rng.random(support.shape), 0.0)
         f = np.where(rng.random(support.shape) < 0.5, 1.0, -1.0)
-        yield cc.TaskSpec(n, f, p / p.sum(), support)
+        yield cc.TaskSpec(n, f, p / p.sum())
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_all_strategy_fidelities(n):
     """classical_optimum searches 2^N assignments; it must report the first
-    maximizer of |F| over the table of all 4^N, with the same bytes."""
+    maximizer of |F| over the table of all 4^N, with the same bytes, and
+    signs that reach it."""
     for task in optimum_tasks(n):
         fid = reference_all_strategy_fidelities(task).reshape(-1)
         np.abs(fid, out=fid)  # in place: the table is 134 MB at n = 12
         idx = int(np.argmax(fid))
         opt = cc.classical_optimum(task)
         assert (opt.index, opt.f_star.hex()) == (idx, float(fid[idx]).hex())
+        assert abs(reference_signed_sum(task.g, opt.signs)) == opt.f_star
 
 
 def fidelity_cases():
@@ -114,6 +117,6 @@ def test_quantum_fidelity_analytic():
 def test_quantum_fidelity_ignores_f_off_support():
     base = cc.make_mod4_task(3)
     f = np.where(base.support, base.f, np.nan)
-    task = cc.TaskSpec(3, f, base.p_prime, base.support)
+    task = cc.TaskSpec(3, f, base.p_prime)
     value = cc.quantum_fidelity_analytic(task, qs.make_ghz(3), cc.mod4_settings(3))
     assert value == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,6 @@
-"""The shared input rules: integer counts, matching party counts and
-visibilities in [0, 1], at every entry point that takes one."""
+"""The shared input rules: integer counts, matching party counts,
+visibilities in [0, 1] and state types, at every entry point that takes
+one."""
 
 import re
 
@@ -25,7 +26,7 @@ def _state_doc(n):
 
 def _mod4_arrays():
     task = cc.make_mod4_task(3)
-    return task.f, task.p_prime, task.support
+    return task.f, task.p_prime
 
 
 # entry point -> (call with the count, name in the error, an out-of-range count);
@@ -60,12 +61,6 @@ COUNTS = {
     "chsh_game_equality_frequencies": (
         lambda k: cc.chsh_game_equality_frequencies(k, 0), "trials_per_pair", 0
     ),
-    "ClassicalStrategy.from_index": (
-        lambda n: cc.ClassicalStrategy.from_index(n, 0), "n_parties", 0
-    ),
-    "ClassicalStrategy.from_index.index": (
-        lambda i: cc.ClassicalStrategy.from_index(2, i), "index", 16
-    ),
     "ghz_thresholds": (bc.ghz_thresholds, "n_parties", 1),
     "threshold_rows.n_min": (lambda n: bc.threshold_rows(n, 5), "n_min", 1),
     "threshold_rows.n_max": (lambda n: bc.threshold_rows(2, n), "n_max", 21),
@@ -94,21 +89,6 @@ def test_count_out_of_range_names_the_count(entry):
     call, name, bad = COUNTS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be (in|at least) .*, got {bad}$"):
         call(bad)
-
-
-@pytest.mark.parametrize(
-    "signs",
-    [[[1.5, -1], [1, 1]], [[1, np.nan]], [[True, False]], [["1", "-1"]], [[1, None]]],
-    ids=["fraction", "nan", "bool", "string", "object"],
-)
-def test_strategy_signs_are_not_truncated(signs):
-    with pytest.raises(ValueError, match=r"^strategy signs must be \+1 or -1$"):
-        cc.ClassicalStrategy(signs)
-
-
-def test_strategy_needs_a_party():
-    with pytest.raises(ValueError, match="^n_parties must be at least 1, got 0$"):
-        cc.ClassicalStrategy(np.zeros((0, 2)))
 
 
 def test_fractional_counts_are_not_truncated():
@@ -157,6 +137,40 @@ class TestPartyMatch:
             st.identifier_check(qs.make_werner(0.5), st.identity_proper_metric(1))
 
 
+# entry point -> a call with the state in place of a StateVector or DensityMatrix
+STATE_TAKERS = {
+    "measurement_distribution": lambda s: qs.measurement_distribution(s, np.eye(3)[:2]),
+    "state_to_json": qs.state_to_json,
+    "as_density": qs.as_density,
+    "compute_tensor": ct.compute_tensor,
+    "separability_check": st.separability_check,
+    "identifier_check": lambda s: st.identifier_check(s, st.identity_proper_metric(2)),
+    "chsh_probability_value": lambda s: bc.chsh_probability_value(
+        s, np.eye(3)[:2], np.eye(3)[:2]
+    ),
+    "quantum_fidelity_analytic": lambda s: cc.quantum_fidelity_analytic(
+        cc.make_mod4_task(2), s, cc.mod4_settings(2)
+    ),
+    "run_entangled_protocol": lambda s: cc.run_entangled_protocol(
+        cc.make_mod4_task(2), s, cc.mod4_settings(2), 10, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_TAKERS))
+@pytest.mark.parametrize("state", ["x", np.eye(4) / 4], ids=["str", "ndarray"])
+def test_state_must_be_a_state_type(entry, state):
+    with pytest.raises(TypeError, match="^expected StateVector or DensityMatrix, got <class"):
+        STATE_TAKERS[entry](state)
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_TAKERS))
+@pytest.mark.parametrize("make", [qs.make_ghz, lambda n: qs.make_ghz(n).projector()],
+                         ids=["pure", "mixed"])
+def test_pure_and_mixed_states_are_accepted(entry, make):
+    STATE_TAKERS[entry](make(2))
+
+
 @pytest.mark.parametrize("v", [-1e-3, 1.5, float("nan")])
 @pytest.mark.parametrize("make", [lambda v: qs.make_noisy_ghz(3, v), qs.make_werner],
                          ids=["make_noisy_ghz", "make_werner"])
@@ -173,12 +187,9 @@ def _owned_cases():
     mat = np.eye(8, dtype=complex) / 8
     yield pytest.param(lambda: qs.DensityMatrix(3, mat), [mat], lambda s: [s.matrix],
                        id="DensityMatrix")
-    f, p, sup = (a.copy() for a in _mod4_arrays())
-    yield pytest.param(lambda: cc.TaskSpec(3, f, p, sup), [f, p, sup],
-                       lambda t: [t.f, t.p_prime, t.support], id="TaskSpec")
-    signs = np.ones((3, 2), dtype=int)
-    yield pytest.param(lambda: cc.ClassicalStrategy(signs), [signs], lambda c: [c.signs],
-                       id="ClassicalStrategy")
+    f, p = (a.copy() for a in _mod4_arrays())
+    yield pytest.param(lambda: cc.TaskSpec(3, f, p), [f, p],
+                       lambda t: [t.f, t.p_prime], id="TaskSpec")
     axes = np.array(ct.xy_frame(3).axes)
     yield pytest.param(lambda: ct.LocalFrame(axes), [axes], lambda fr: [fr.axes],
                        id="LocalFrame")
