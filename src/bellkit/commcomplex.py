@@ -262,12 +262,16 @@ def run_entangled_protocol(
 
 
 def _require_mod4(task: TaskSpec) -> None:
-    """Structural check that the task is the modulo-4 sum game."""
-    ref = make_mod4_task(task.n_parties)
+    """Structural check that the task is the modulo-4 sum game: the promise
+    is the even-parity inputs, p' = 2^(1-n) on it and f = cos(pi/2 sum x)
+    there, read from the task's own arrays."""
+    n = task.n_parties
+    x_sum = reduce(np.add.outer, [np.arange(2)] * n)
+    even = x_sum % 2 == 0
     if (
-        not np.array_equal(task.support, ref.support)
-        or not np.allclose(task.p_prime, ref.p_prime)
-        or not np.array_equal(task.f[task.support], ref.f[ref.support])
+        not np.array_equal(task.support, even)
+        or not np.allclose(task.p_prime[even], 2.0 ** (1 - n))
+        or not np.array_equal(task.f[even], np.where(x_sum[even] % 4 == 0, 1.0, -1.0))
     ):
         raise ValueError(
             "the sequential single-qubit protocol is defined for the "

@@ -9,7 +9,7 @@ carry the N-party correlations contracted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,17 +131,14 @@ class MaxProductResult:
     converged: bool
 
 
-def _random_starts(
-    n: int, seed: int, restarts: int, frame: LocalFrame | None = None
-) -> np.ndarray:
-    """Unit start directions, shape (restarts, n, 3), restart r drawn from
-    its own (seed, r) stream; inside the frame planes when a frame is given."""
-    raw = np.empty((restarts, n, 3 if frame is None else 2))
+def _random_starts(n: int, seed: int, restarts: int, d: int = 3) -> np.ndarray:
+    """Unit start directions, shape (restarts, n, d), restart r drawn from
+    its own (seed, r) stream."""
+    raw = np.empty((restarts, n, d))
     for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        raw[r] = rng.normal(size=raw.shape[1:])
-    vecs = raw if frame is None else np.einsum("rka,kaj->rkj", raw, frame.axes)
-    return vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
+        raw[r] = np.random.Generator(np.random.PCG64(ss)).normal(size=raw.shape[1:])
+    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
 
 def _contract(out: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -154,25 +151,23 @@ def _contract(out: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _party_vectors(w: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """The vectors w is contracted with: the b_k themselves when w has
-    shape (3,)*N, the (1, b_k) when it has shape (4,)*N."""
-    if w.shape[0] == 3:
+    shape (d,)*N, the (1, b_k) when it has shape (d + 1,)*N."""
+    if w.shape[0] == dirs.shape[2]:
         return dirs
-    u = np.empty(dirs.shape[:2] + (4,))
+    u = np.empty(dirs.shape[:2] + (w.shape[0],))
     u[:, :, 0] = 1.0
     u[:, :, 1:] = dirs
     return u
 
 
-def _ascend(
-    w: np.ndarray, starts: np.ndarray, frame: LocalFrame | None = None
-) -> MaxProductResult:
+def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     """Alternating ascent of a multilinear form over unit directions b_k.
 
-    ``w`` has shape (3,)*N, contracted with the b_k themselves, or (4,)*N,
-    contracted with (1, b_k).  The form is linear in each b_k, so the best
-    b_k given the others is the normalized gradient (projected into the
-    party's plane when a frame is given): every step is exact and monotone.
-    ``starts`` (R, N, 3) is updated in place; the best row is returned.
+    ``starts`` (R, N, d) holds unit d-vectors; ``w`` has shape (d,)*N,
+    contracted with the b_k themselves, or (d + 1,)*N, contracted with
+    (1, b_k).  The form is linear in each b_k, so the best b_k given the
+    others is the normalized gradient: every step is exact and monotone.
+    ``starts`` is updated in place; the best row is returned.
 
     A sweep shares the contractions with the parties already updated:
     ``pre`` holds w contracted with parties 0..k-1, so party k's gradient
@@ -182,22 +177,25 @@ def _ascend(
     the same.
     """
     dirs = starts
+    n, d = dirs.shape[1:]
     u = _party_vectors(w, dirs)  # kept in step with dirs below
     full = np.broadcast_to(w, (dirs.shape[0],) + w.shape)
+    # pre has 1 + N - k axes at party k; this moves its axis 1 last
+    last = [(0, *range(2, n + 1 - k), 1) for k in range(n)]
     values = _contract(full, u)
     for _ in range(DEFAULT_MAX_SWEEPS):
         pre = full
-        for k in range(dirs.shape[1]):
+        for k in range(n):
             # the constant component of (1, b_k) does not move
-            grad = _contract(np.moveaxis(pre, 1, -1), u[:, k + 1 :])[:, -3:]
-            if frame is not None:
-                coef = np.einsum("ri,ai->ra", grad, frame.axes[k])
-                grad = np.einsum("ra,ai->ri", coef, frame.axes[k])
-            norms = np.linalg.norm(grad, axis=1)
+            grad = _contract(pre.transpose(last[k]), u[:, k + 1 :])[:, -d:]
+            norms = np.sqrt(np.add.reduce(grad * grad, axis=1))  # np.linalg.norm's sum
             ok = norms > 1e-300
-            dirs[ok, k, :] = grad[ok] / norms[ok, None]
-            u[:, k, -3:] = dirs[:, k]
-            pre = _contract(pre, u[:, k : k + 1])
+            if ok.all():
+                dirs[:, k] = grad / norms[:, None]
+            else:
+                dirs[ok, k, :] = grad[ok] / norms[ok, None]
+            u[:, k, -d:] = dirs[:, k]
+            pre = np.einsum("ri...,ri->r...", pre, u[:, k])
         converged = np.abs(pre - values) < DEFAULT_TOL
         values = pre
         if converged.all():
@@ -216,27 +214,26 @@ def max_product_value(
     """Maximize the correlation function over unit product directions.
 
     With ``frame=None`` each party ranges over all of 3-space; with a
-    frame each party is restricted to its plane.  Alternating
-    ascent: the optimal vector for one party given the others is the
-    normalized partial contraction, so every step is exact and monotone.
-    The DEFAULT_RESTARTS restarts are seeded from (seed, restart index);
-    one extra start sits on the axes of the largest-magnitude component so
-    the result is never below max |T| under the same restriction.
+    frame each party is restricted to its plane, and the ascent runs on the
+    (2,)*N frame components with unit 2-vectors c_k, mapped back as
+    b_k = c_k . axes_k.  Alternating ascent: the optimal vector for one
+    party given the others is the normalized partial contraction, so every
+    step is exact and monotone.  The DEFAULT_RESTARTS restarts are seeded
+    from (seed, restart index); one extra start sits on the axes of the
+    largest-magnitude component so the result is never below max |T| under
+    the same restriction.
 
     Only the value is canonical: when several direction lists attain the
     maximum, the reported one depends on the seed.
     """
-    n = t.n_qubits
-    proper = t.proper
+    w = t.proper if frame is None else frame_components(t, frame)
+    d = w.shape[0]
+    best_idx = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+    starts = _random_starts(t.n_qubits, seed, DEFAULT_RESTARTS, d)
+    res = _ascend(w, np.concatenate([starts, np.eye(d)[list(best_idx)][None]]))
     if frame is None:
-        best_idx = np.unravel_index(np.argmax(np.abs(proper)), proper.shape)
-        axis_start = np.eye(3)[list(best_idx)]
-    else:
-        comps = frame_components(t, frame)
-        best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
-        axis_start = frame.axes[np.arange(n), list(best_idx)]
-    starts = np.concatenate([_random_starts(n, seed, DEFAULT_RESTARTS, frame), axis_start[None]])
-    return _ascend(proper, starts, frame)
+        return res
+    return replace(res, directions=np.einsum("ka,kaj->kj", res.directions, frame.axes))
 
 
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:

@@ -216,7 +216,9 @@ def product_matrix(blochs) -> np.ndarray:
     mat = np.array([[1.0 + 0j]])
     for b in np.asarray(blochs, dtype=float).reshape(-1, 3):
         qubit = 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
-        mat = np.kron(mat, qubit)
+        # np.kron's single products, without its generic set-up
+        dim = 2 * mat.shape[0]
+        mat = (mat[:, None, :, None] * qubit[None, :, None, :]).reshape(dim, dim)
     return mat
 
 

@@ -391,6 +391,44 @@ class TestSequentialProtocol:
         with pytest.raises(ValueError, match=message):
             cc.run_sequential_protocol(cc.make_chsh_game(), 10, seed=0)
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 7))
+    def test_mod4_check_matches_a_rebuilt_task(self, n):
+        # the check reads the task's own arrays; a rebuilt mod4 task
+        # decides every variant below the same way
+        def rebuilt_says_mod4(task):
+            ref = cc.make_mod4_task(task.n_parties)
+            return bool(
+                np.array_equal(task.support, ref.support)
+                and np.allclose(task.p_prime, ref.p_prime)
+                and np.array_equal(task.f[task.support], ref.f[ref.support])
+            )
+
+        mod4 = cc.make_mod4_task(n)
+        flat = np.flatnonzero(mod4.support)
+        f_flipped = mod4.f.copy()
+        f_flipped.flat[flat[-1]] *= -1
+        p_tilted = mod4.p_prime.copy()
+        p_tilted.flat[flat[:2]] += (1e-3, -1e-3)
+        p_close = mod4.p_prime.copy()
+        p_close.flat[flat[:2]] += (1e-12, -1e-12)
+        f_odd = np.where(mod4.support, mod4.f, 7.0)  # f off the promise is ignored
+        odd = np.where(mod4.support, 0.0, 2.0 ** (1 - n))
+        tasks = [
+            (mod4, True),
+            (cc.TaskSpec(n, f_odd, mod4.p_prime), True),
+            (cc.TaskSpec(n, mod4.f, p_close), True),
+            (cc.TaskSpec(n, f_flipped, mod4.p_prime), False),
+            (cc.TaskSpec(n, mod4.f, p_tilted), False),
+            (cc.TaskSpec(n, np.ones((2,) * n), odd), False),
+        ]
+        for task, is_mod4 in tasks:
+            assert rebuilt_says_mod4(task) == is_mod4
+            if is_mod4:
+                assert cc.run_sequential_protocol(task, 50, seed=1).fidelity == 1.0
+            else:
+                with pytest.raises(ValueError, match="modulo-4 sum task only$"):
+                    cc.run_sequential_protocol(task, 50, seed=1)
+
     def test_seed_determinism(self):
         task = cc.make_mod4_task(4)
         assert cc.run_sequential_protocol(task, 500, seed=5) == cc.run_sequential_protocol(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ascent_reference import reference_ascend, reference_random_starts
+from bellkit import bellcheck as bc
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from contraction_reference import reference_correlation_function, reference_tensor_to_density
@@ -279,47 +280,115 @@ def rotated_frame(n, rng):
     return ct.LocalFrame(np.stack([random_rotation(rng)[:2] for _ in range(n)]))
 
 
+def reference_max_product_value(t, frame=None, seed=0):
+    """max_product_value before the in-plane form: the reference ascent on
+    the (3,)*N proper tensor, projected into the frame planes, from the
+    reference starts plus the same axis start."""
+    n = t.n_qubits
+    if frame is None:
+        best_idx = np.unravel_index(np.argmax(np.abs(t.proper)), t.proper.shape)
+        axis_start = np.eye(3)[list(best_idx)]
+    else:
+        comps = ct.frame_components(t, frame)
+        best_idx = np.unravel_index(np.argmax(np.abs(comps)), comps.shape)
+        axis_start = frame.axes[np.arange(n), list(best_idx)]
+    starts = reference_random_starts(n, seed, ct.DEFAULT_RESTARTS, frame)
+    return reference_ascend(t.proper, np.concatenate([starts, axis_start[None]]), frame)
+
+
+def assert_same_maximum(t, res, ref, frame):
+    """Bitwise for no frame and the xy frame, where the (2,)*N frame
+    components are exact picks of the proper tensor.  Other frames' components
+    are sums of products, so the value agrees within rounding, and rounding
+    may pick another restart whose directions attain the same maximum (with
+    the signs of two parties flipped, say); those directions are checked to
+    lie in the planes and to attain the value."""
+    assert res.converged == ref.converged
+    if frame is None or np.array_equal(frame.axes, ct.xy_frame(frame.n_parties).axes):
+        assert res.value == ref.value
+        assert np.array_equal(res.directions, ref.directions)
+        return
+    assert abs(res.value - ref.value) <= 1e-12
+    # unit vectors whose frame components are unit too lie in the planes
+    assert np.max(np.abs(np.linalg.norm(res.directions, axis=1) - 1.0)) <= 1e-12
+    in_plane = np.einsum("kaj,kj->ka", frame.axes, res.directions)
+    assert np.max(np.abs(np.linalg.norm(in_plane, axis=1) - 1.0)) <= 1e-12
+    assert abs(reference_correlation_function(t, res.directions) - res.value) <= 1e-12
+
+
 class TestAscentMatchesReference:
-    """The prefix-sharing sweep and the batched start projection are
-    bitwise equal to the from-scratch versions in ascent_reference.py."""
+    """The prefix-sharing sweep, the batched starts and the in-plane ascent
+    on the frame components match the from-scratch versions in
+    ascent_reference.py."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("dim", (3, 4))
     @pytest.mark.parametrize("frame_kind", ("none", "xy", "rotated"))
     def test_bitwise_equal(self, n, dim, frame_kind):
         rng = np.random.default_rng(1000 * n + 10 * dim + len(frame_kind))
-        frame = {
-            "none": None,
-            "xy": ct.xy_frame(n),
-            "rotated": rotated_frame(n, rng),
-        }[frame_kind]
+        if frame_kind == "none":
+            restarts = 8 if n <= 5 else 3
+            for seed in (0, 7):
+                w = rng.normal(size=(dim,) * n)
+                starts = ct._random_starts(n, seed, restarts)
+                assert np.array_equal(starts, reference_random_starts(n, seed, restarts))
+                ref = reference_ascend(w, starts.copy())
+                new = ct._ascend(w, starts)
+                assert new.value == ref.value
+                assert np.array_equal(new.directions, ref.directions)
+                assert new.converged == ref.converged
+            return
+        # _ascend takes no frame: the frame cases go through max_product_value,
+        # on a random tensor (dim 3) or a random mixed state's tensor (dim 4)
+        frame = ct.xy_frame(n) if frame_kind == "xy" else rotated_frame(n, rng)
+        if dim == 3:
+            t = ct.CorrelationTensor(n, rng.uniform(-1.0, 1.0, size=(4,) * n))
+        else:
+            t = ct.compute_tensor(random_density(n, rng))
+        for seed in (0, 7):
+            res = ct.max_product_value(t, frame=frame, seed=seed)
+            assert_same_maximum(t, res, reference_max_product_value(t, frame, seed), frame)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bitwise_equal_on_plane_forms(self, n):
+        rng = np.random.default_rng(3000 + n)
         restarts = 8 if n <= 5 else 3
         for seed in (0, 7):
-            w = rng.normal(size=(dim,) * n)
-            starts = ct._random_starts(n, seed, restarts, frame)
-            assert np.array_equal(
-                starts, reference_random_starts(n, seed, restarts, frame)
-            )
-            ref = reference_ascend(w, starts.copy(), frame)
-            new = ct._ascend(w, starts, frame)
+            w = rng.normal(size=(2,) * n)
+            starts = ct._random_starts(n, seed, restarts, 2)
+            # the x, y parts of the reference's xy-plane starts, bit for bit
+            xy = reference_random_starts(n, seed, restarts, ct.xy_frame(n))
+            assert np.array_equal(starts, xy[:, :, :2])
+            ref = reference_ascend(w, starts.copy())
+            new = ct._ascend(w, starts)
             assert new.value == ref.value
             assert np.array_equal(new.directions, ref.directions)
             assert new.converged == ref.converged
 
-    def test_max_product_value_on_states(self, monkeypatch):
+    def test_max_product_value_on_states(self):
         rng = np.random.default_rng(65)
-        cases = []
         for n in (2, 3, 4):
             t = ct.compute_tensor(random_density(n, rng))
             for frame in (None, ct.xy_frame(n), rotated_frame(n, rng)):
-                cases.append((t, frame, ct.max_product_value(t, frame=frame, seed=3)))
-        monkeypatch.setattr(ct, "_random_starts", reference_random_starts)
-        monkeypatch.setattr(ct, "_ascend", reference_ascend)
-        for t, frame, res in cases:
-            ref = ct.max_product_value(t, frame=frame, seed=3)
-            assert res.value == ref.value
+                res = ct.max_product_value(t, frame=frame, seed=3)
+                assert_same_maximum(t, res, reference_max_product_value(t, frame, 3), frame)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rotational_report_on_noisy_ghz(self, n, monkeypatch):
+        # V = 0 has an all-zero in-plane block: signed zeros throughout
+        frame = ct.xy_frame(n)
+        cases = [
+            (ct.compute_tensor(qs.make_noisy_ghz(n, v)), seed)
+            for v in (0.0, 0.02, 0.3, 0.6, 1.0)
+            for seed in (0, 7)
+        ]
+        new = [repr(bc.rotational_test(t, frame, seed)) for t, seed in cases]
+        for t, seed in cases:
+            res = ct.max_product_value(t, frame=frame, seed=seed)
+            ref = reference_max_product_value(t, frame, seed)
             assert np.array_equal(res.directions, ref.directions)
-            assert res.converged == ref.converged
+        monkeypatch.setattr(bc, "max_product_value", reference_max_product_value)
+        assert new == [repr(bc.rotational_test(t, frame, seed)) for t, seed in cases]
 
 
 class TestCsvExport:

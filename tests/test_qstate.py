@@ -123,6 +123,21 @@ class TestMakeProduct:
             ref = np.kron(np.kron(qubits[0], qubits[1]), qubits[2])
             assert np.max(np.abs(rho.matrix - ref)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bitwise_equal_to_kron_chain(self, n):
+        # the broadcast outer product forms np.kron's single products
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            blochs = rng.normal(size=(n, 3))
+            blochs /= np.linalg.norm(blochs, axis=1, keepdims=True)
+            ref = np.array([[1.0 + 0j]])
+            for b in blochs:
+                p = qs.PAULI
+                ref = np.kron(ref, 0.5 * (p[0] + b[0] * p[1] + b[1] * p[2] + b[2] * p[3]))
+            mat = qs.product_matrix(blochs)
+            assert mat.shape == ref.shape
+            assert mat.tobytes() == ref.tobytes()
+
 
 class TestPauliExpectation:
     """Pauli expectations Tr(rho sigma_J) as compute_tensor(rho).values[J]."""
