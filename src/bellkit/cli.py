@@ -9,7 +9,7 @@ output, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import re
 import sys
@@ -28,23 +28,25 @@ EXIT_NO_CONVERGENCE = 3
 MAX_TRIALS = 10**6
 
 
-def _emit(text: str, out_path) -> None:
+@contextlib.contextmanager
+def _output(out_path):
+    """stdout or the --out file; entered once the result is computed."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _emit_json(doc, out_path) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    with _output(out_path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_thresholds(args) -> int:
     rows = bellcheck.threshold_rows(args.n_min, args.n_max)
-    buf = io.StringIO()
-    bellcheck.write_threshold_csv(rows, buf)
-    _emit(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        bellcheck.write_threshold_csv(rows, fh)
     return EXIT_OK
 
 
@@ -167,9 +169,8 @@ def cmd_septest(args) -> int:
 
 def cmd_tensor_export(args) -> int:
     tensor = corrtensor.compute_tensor(qstate.load_state(args.state))
-    buf = io.StringIO()
-    corrtensor.tensor_to_csv(tensor, buf)
-    _emit(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        corrtensor.tensor_to_csv(tensor, fh)
     return EXIT_OK
 
 

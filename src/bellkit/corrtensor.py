@@ -239,14 +239,13 @@ def max_product_value(
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:
     """Write one row per index tuple in C order: columns j1..jN then the value."""
     n = t.n_qubits
-    # All rows as one %-template with a %r (float.__repr__) per value, so one
-    # C-level format call encodes the whole tensor.  Each pass prepends an
-    # index column that varies slower than those already there: C order.
-    body = "%r\r\n"
-    for _ in range(n):
-        rows = body[:-2]
-        body = "".join(
-            d + "," + rows.replace("\r\n", "\r\n" + d + ",") + "\r\n" for d in "0123"
-        )
-    header = ",".join([f"j{k}" for k in range(1, n + 1)] + ["value"])
-    fh.write((header + "\r\n" + body) % tuple(t.values.reshape(-1).tolist()))
+    # The rows of one leading index as one %-template with a %r (float.__repr__)
+    # per value: one C-level format call encodes a quarter of the tensor.  Each
+    # pass prepends an index column that varies slower than those there: C order.
+    rows = "%r"
+    for _ in range(n - 1):
+        rows = "\r\n".join(d + "," + rows.replace("\r\n", "\r\n" + d + ",") for d in "0123")
+    fh.write(",".join([f"j{k}" for k in range(1, n + 1)] + ["value"]) + "\r\n")
+    for d, values in zip("0123", t.values):
+        chunk = d + "," + rows.replace("\r\n", "\r\n" + d + ",") + "\r\n"
+        fh.write(chunk % tuple(values.reshape(-1).tolist()))

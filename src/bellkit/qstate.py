@@ -16,6 +16,11 @@ import numpy as np
 # Dense 2^N amplitudes / 4^N tensor components stay small up to this cap.
 MAX_QUBITS = 10
 
+# load_state decodes a state file's "data" array in slices of about this many
+# characters, not as one tree of lists (twice the 52 MB text at N = 10).
+_SLICE_CHARS = 1 << 20
+_SENTINEL = -1  # stands in for that array while the rest of the file decodes
+
 # Single-qubit Pauli operators, indexed 0..3 (identity, x, y, z).
 PAULI = np.array(
     [
@@ -344,6 +349,13 @@ def _float_array(value):
         return None
 
 
+class _DecodedData(list):
+    """A "data" list that load_state decoded: its pairs, an (m, 2) float array."""
+
+    def __len__(self):
+        return len(self.pairs)
+
+
 def state_from_json(obj):
     """Decode the JSON state format; raises ValueError naming the bad field."""
     if not isinstance(obj, dict):
@@ -362,7 +374,7 @@ def state_from_json(obj):
     if len(data) != expected:
         raise ValueError(f"field 'data' must have {expected} entries, got {len(data)}")
     bad_pair = "field 'data[{}]' must be a finite [re, im] number pair"
-    pairs = _float_array(data)
+    pairs = data.pairs if isinstance(data, _DecodedData) else _float_array(data)
     if pairs is None or pairs.shape != (expected, 2):
         # some pair fails on its own; name the first one
         for i, pair in enumerate(data):
@@ -388,16 +400,44 @@ def save_state(path, state) -> None:
         fh.write("\n")
 
 
-def _load_json(fh, what: str):
-    """json.load(fh), with a ValueError in place of the RecursionError of a
-    document that nests too deeply."""
+def _load_json(text: str, what: str):
+    """json.loads(text), with a ValueError in place of the RecursionError of
+    a document that nests too deeply."""
     try:
-        return json.load(fh)
+        return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} document nests too deeply") from None
 
 
-def load_state(path):
+def _read_state_document(path):
+    """The document in a state file, its text dropped on return.  Its "data"
+    array is decoded in slices cut after "],"; json.loads(text) decides unless
+    each slice is a list of number pairs and the rest, with _SENTINEL for the
+    array, decodes to a document that holds it as "data" and nowhere else."""
     with open(path, "r", encoding="utf-8") as fh:
-        # no name holds the document, so state_from_json can free it
-        return state_from_json(_load_json(fh, "state"))
+        text = fh.read()
+    parts, end = [], text.rfind("]")
+    try:
+        start = pos = text.index("[", text.index('"data"')) + 1
+        while pos <= end:
+            cut = text.find("],", pos + _SLICE_CHARS, end)
+            stop = end if cut < 0 else cut + 1
+            parts.append(_float_array(json.loads("[" + text[pos:stop] + "]")))
+            if parts[-1] is None or parts[-1].shape[1:] != (2,):
+                return _load_json(text, "state")
+            pos = stop + 1
+        rest = text[: start - 1] + str(_SENTINEL) + text[end + 1 :]
+        head, pairs = json.loads(rest), np.concatenate(parts)  # no slices: ValueError
+    except (ValueError, RecursionError):
+        return _load_json(text, "state")
+    data = head.get("data") if isinstance(head, dict) else None
+    if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+        return _load_json(text, "state")
+    head["data"] = _DecodedData()
+    head["data"].pairs = pairs
+    return head
+
+
+def load_state(path):
+    # no name holds the document, so state_from_json can free it
+    return state_from_json(_read_state_document(path))

@@ -228,4 +228,4 @@ def metric_from_json(obj, n_qubits: int) -> DiagonalMetric | DenseMetric:
 
 def load_metric(path, n_qubits: int) -> DiagonalMetric | DenseMetric:
     with open(path, "r", encoding="utf-8") as fh:
-        return metric_from_json(_load_json(fh, "metric"), n_qubits)
+        return metric_from_json(_load_json(fh.read(), "metric"), n_qubits)

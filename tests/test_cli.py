@@ -427,6 +427,26 @@ class TestTensorExport:
         assert values[(1, 1)] == pytest.approx(-1.0, abs=1e-12)
         assert values[(0, 0)] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_stdout_and_out_file_bytes_identical(self, tmp_path, capsys, kind):
+        state = qs.make_noisy_ghz(3, 0.6) if kind == "mixed" else qs.make_ghz(3)
+        path, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+        qs.save_state(path, state)
+        code, out, _ = run_cli(capsys, "tensor-export", "--state", str(path))
+        assert code == 0
+        args = ("tensor-export", "--state", str(path), "--out", str(out_path))
+        assert run_cli(capsys, *args) == (0, "", "")
+        assert out_path.read_bytes() == out.encode()
+
+    def test_failed_export_writes_no_file(self, tmp_path, capsys):
+        path, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+        path.write_text('{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [1, 0]]}')
+        args = ("tensor-export", "--state", str(path), "--out", str(out_path))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state not normalized")
+        assert not out_path.exists()
+
     def test_pure_state_whose_projector_misses_the_trace_exits_2(self, tmp_path, capsys):
         # StateVector accepts it (Sigma |a|^2 = 0.999999999999); the
         # trace of its projector misses 1 by more than 1e-12

@@ -10,6 +10,7 @@ from bellkit import bellcheck as bc
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from contraction_reference import reference_correlation_function, reference_tensor_to_density
+from io_reference import reference_tensor_to_csv
 from oracles import random_density, random_rotation, tensor_by_traces
 
 
@@ -412,3 +413,19 @@ class TestCsvExport:
         lines = buf.getvalue().strip().splitlines()[1:]
         parsed = np.array([float(line.split(",")[-1]) for line in lines])
         assert np.max(np.abs(parsed - t.values.reshape(-1))) == 0.0
+
+    def test_streams_quarter_size_writes(self):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        t = ct.compute_tensor(random_density(8, np.random.default_rng(8)))
+        fh, ref = Recorder(), io.StringIO()
+        ct.tensor_to_csv(t, fh)
+        reference_tensor_to_csv(t, ref)
+        assert "".join(fh.writes) == ref.getvalue()
+        # no write holds more than a quarter of the 4^8 rows plus one
+        assert max(w.count("\r\n") for w in fh.writes) <= 4**8 // 4 + 1
