@@ -9,6 +9,7 @@ carry the N-party correlations contracted here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,13 +132,80 @@ class MaxProductResult:
     converged: bool
 
 
+# NumPy's SeedSequence hash constants (NEP 19, numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult^j mod 2^32 for j = first .. first + count - 1, shape (count, 1)."""
+    return np.array(
+        [init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(first, first + count)],
+        dtype=np.uint32,
+    )[:, None]
+
+
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+
+
+def _spawn_words(seed, restarts: int) -> np.ndarray:
+    """The words SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(4,
+    np.uint64) gives for r = 0 .. restarts - 1 (below 2^32), shape
+    (restarts, 4), derived in one pass from SeedSequence(seed).
+
+    That one SeedSequence coerces the seed, with NumPy's own errors.  The
+    spawn key r is the last entropy word, so the pool before it is that of
+    SeedSequence(seed): NumPy pads short entropy with zero words, as its pool
+    fill hashes zeros past the entropy.  Mixing r in takes the hash constants
+    after 16 + 4 * max(0, L - 4) hashmix calls, L the entropy's uint32 word
+    count; then come the 8 output hashes.  All arithmetic is on uint32
+    arrays, which wrap modulo 2^32 like the C code; NumPy scalars would warn
+    on overflow.
+    """
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    ss = np.random.SeedSequence(seed)
+    n_words = _coerce_to_uint32_array(ss.entropy).size  # SeedSequence's own coercion
+    r = np.arange(restarts, dtype=np.uint32)
+    mix_consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, n_words - 4), 5)
+    h = (r ^ mix_consts[:4]) * mix_consts[1:]
+    h ^= h >> 16
+    mixed = ss.pool[:, None] * _MIX_L - h * _MIX_R
+    mixed ^= mixed >> 16
+    out = (mixed[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_CONSTS[:8]) * _OUT_CONSTS[1:]
+    out ^= out >> 16
+    words = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
+    return np.ascontiguousarray(words.T)  # PCG64 reads each row's memory as is
+
+
+@functools.cache
+def _fixed_seed_type() -> type:
+    """An ISeedSequence that hands PCG64 given words; numpy.random is
+    imported here, on first use, not with bellkit."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedSeed
+
+
 def _random_starts(n: int, seed: int, restarts: int, d: int = 3) -> np.ndarray:
     """Unit start directions, shape (restarts, n, d), restart r drawn from
-    its own (seed, r) stream."""
+    its own (seed, r) stream: a PCG64 seeded bit for bit as by
+    SeedSequence(entropy=seed, spawn_key=(r,)), from _spawn_words.  With
+    seed=None the restarts share one fresh entropy: not reproducible."""
+    words = _spawn_words(seed, restarts)
+    fixed_seed = _fixed_seed_type()
     raw = np.empty((restarts, n, d))
     for r in range(restarts):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-        raw[r] = np.random.Generator(np.random.PCG64(ss)).normal(size=raw.shape[1:])
+        gen = np.random.Generator(np.random.PCG64(fixed_seed(words[r])))
+        raw[r] = gen.normal(size=raw.shape[1:])
     return raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
 

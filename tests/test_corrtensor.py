@@ -1,14 +1,22 @@
 """Correlation tensor extraction, contraction, and maximization."""
 
 import io
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ascent_reference import reference_ascend, reference_random_starts
 from bellkit import bellcheck as bc
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
+from bellkit import septest as st
 from contraction_reference import reference_correlation_function, reference_tensor_to_density
 from io_reference import reference_tensor_to_csv
 from oracles import random_density, random_rotation, tensor_by_traces
@@ -390,6 +398,82 @@ class TestAscentMatchesReference:
             assert np.array_equal(res.directions, ref.directions)
         monkeypatch.setattr(bc, "max_product_value", reference_max_product_value)
         assert new == [repr(bc.rotational_test(t, frame, seed)) for t, seed in cases]
+
+
+NUMPY_INTS = (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64)
+
+# every seed form SeedSequence takes as entropy
+seeds = (
+    hs.integers(0, 2**300)
+    | hs.sampled_from(NUMPY_INTS).flatmap(lambda t: hs.integers(0, np.iinfo(t).max).map(t))
+    | hs.booleans()
+    | hs.lists(hs.integers(0, 2**70), max_size=8)
+    | hs.recursive(hs.integers(0, 2**40), lambda c: hs.lists(c, max_size=3), max_leaves=8)
+    | hs.lists(hs.integers(0, 2**32 - 1), max_size=9).map(lambda v: np.array(v, dtype=np.uint32))
+)
+
+
+def numpy_words(seed, r):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(4, np.uint64)
+
+
+class TestRestartStreams:
+    """_random_starts derives every restart's PCG64 seed words in one pass;
+    restart r still draws NumPy's own (seed, r) stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=seeds)
+    def test_words_match_numpy(self, seed):
+        words = ct._spawn_words(seed, 33)
+        assert words.shape == (33, 4)
+        for r in range(33):
+            assert np.array_equal(words[r], numpy_words(seed, r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=hs.integers(1, 4))
+    def test_starts_match_reference(self, seed, n):
+        starts = ct._random_starts(n, seed, 9)
+        assert np.array_equal(starts, reference_random_starts(n, seed, 9))
+        xy = reference_random_starts(n, seed, 9, ct.xy_frame(n))
+        assert np.array_equal(ct._random_starts(n, seed, 9, 2), xy[:, :, :2])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_errors_unchanged(self, seed):
+        # what the first per-restart SeedSequence raised before
+        with pytest.raises(Exception) as before:
+            np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+        t = ct.compute_tensor(qs.make_noisy_ghz(3, 0.5))
+        calls = (
+            lambda: ct.max_product_value(t, seed=seed),
+            lambda: ct.max_product_value(t, frame=ct.xy_frame(3), seed=seed),
+            lambda: st.identifier_check(qs.make_noisy_ghz(3, 0.5), st.identity_proper_metric(3), seed),
+        )
+        for call in calls:
+            with pytest.raises(type(before.value)) as now:
+                call()
+            assert str(now.value) == str(before.value)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [2**32 - 1, 2**32, 2**64 - 1, [2**32 - 1] * 6, np.full(5, 2**32 - 1, dtype=np.uint32)],
+    )
+    def test_wraparound_raises_no_warning(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = ct._spawn_words(seed, 33)
+            ct._random_starts(2, seed, 4)
+        for r in (0, 1, 32):
+            assert np.array_equal(words[r], numpy_words(seed, r))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, bellkit, bellkit.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
 
 
 class TestCsvExport:
