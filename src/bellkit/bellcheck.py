@@ -55,12 +55,6 @@ class BellReport:
     equality_probabilities: np.ndarray  # [m, n] -> P(A_m = B_n)
 
 
-def equality_probability(rho: DensityMatrix, a_dir, b_dir) -> float:
-    """P(A = B) for one setting pair, from the joint Born distribution."""
-    probs = measurement_distribution(rho, np.array([a_dir, b_dir], dtype=float))
-    return float(probs[0, 0] + probs[1, 1])
-
-
 def chsh_probability_value(rho: DensityMatrix, a_dirs, b_dirs) -> BellReport:
     """Evaluate the probability-form expression on a two-qubit state.
 
@@ -73,10 +67,10 @@ def chsh_probability_value(rho: DensityMatrix, a_dirs, b_dirs) -> BellReport:
     b_dirs = np.asarray(b_dirs, dtype=float)
     if a_dirs.shape != (2, 3) or b_dirs.shape != (2, 3):
         raise ValueError("each side needs exactly two 3-vector settings")
-    eq = np.empty((2, 2))
-    for m in range(2):
-        for n in range(2):
-            eq[m, n] = equality_probability(rho, a_dirs[m], b_dirs[n])
+    # setting pair [m, n] = (A_m, B_n); P(A = B) = P(++) + P(--)
+    pairs = np.stack(np.broadcast_arrays(a_dirs[:, None], b_dirs[None, :]), axis=-2)
+    probs = measurement_distribution(rho, pairs)
+    eq = probs[..., 0, 0] + probs[..., 1, 1]
     b_value = eq[0, 1] - eq[0, 0] - eq[1, 0] - eq[1, 1]
     return BellReport(
         b_value=float(b_value),

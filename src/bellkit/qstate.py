@@ -275,15 +275,27 @@ def _measurement_bases(dirs: np.ndarray) -> np.ndarray:
 def measurement_distribution(state, directions) -> np.ndarray:
     """Born probabilities for local measurements of n_k . sigma on each qubit.
 
-    Returns an array of shape (2,)*N; index bit 0 along qubit k means
-    outcome +1 on that qubit, bit 1 means outcome -1.
+    directions is one setting, shape (N, 3), or a stack of them, shape
+    (..., N, 3).  The state, the shape and all norms are checked once, and
+    the first bad norm in C order is named.  Returns one table per setting,
+    shape (...) + (2,)*N; index bit 0 along qubit k means outcome +1 on that
+    qubit, bit 1 means outcome -1.
     """
     _check_state(state)
     dirs = np.asarray(directions, dtype=float)
     n = state.n_qubits
-    if dirs.shape != (n, 3):
+    if dirs.shape[-2:] != (n, 3):
         raise ValueError(f"need {n} directions of 3 components, got shape {dirs.shape}")
-    basis = _measurement_bases(_check_unit_rows(dirs))
+    bases = _measurement_bases(_check_unit_rows(dirs).reshape(-1, 3)).reshape(-1, n, 2, 2)
+    out = np.empty(dirs.shape[:-2] + (2,) * n)
+    for table, basis in zip(out.reshape((-1,) + (2,) * n), bases):  # views into out
+        table[...] = _born_table(state, basis)
+    return out
+
+
+def _born_table(state, basis: np.ndarray) -> np.ndarray:
+    """The Born table of one setting, given as its (N, 2, 2) bases."""
+    n = state.n_qubits
     if isinstance(state, StateVector):
         amp = state.amplitudes.reshape((2,) * n)
         for k in range(n):

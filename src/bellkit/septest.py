@@ -11,6 +11,7 @@ tensor space extend this:  max over pure product states of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -113,12 +114,9 @@ def identity_proper_metric(n_qubits: int) -> DiagonalMetric:
     """Weight 1 on every proper coordinate, 0 elsewhere; with this metric
     the identifier check reduces to the tensor-norm test."""
     n_qubits = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
-    w = np.ones((4,) * n_qubits)
-    for k in range(n_qubits):
-        idx = [slice(None)] * n_qubits
-        idx[k] = 0
-        w[tuple(idx)] = 0.0
-    return DiagonalMetric(n_qubits, w.reshape(-1))
+    # the Kronecker product of (0, 1, 1, 1) over the parties, party 1 first
+    w = reduce(np.multiply.outer, [np.array([0.0, 1.0, 1.0, 1.0])] * n_qubits)
+    return DiagonalMetric(n_qubits, w)
 
 
 def rank_one_metric(direction: CorrelationTensor) -> DenseMetric:

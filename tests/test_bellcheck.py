@@ -93,6 +93,29 @@ class TestChshProbabilityValue:
         expected = 0.5 * (1 + np.trace(reduced @ sigma_a).real)
         assert marginals[0] == pytest.approx(expected, abs=1e-10)
 
+    def test_names_the_first_bad_norm_of_the_pair_loop(self):
+        # the per-pair Born calls checked (A_1, B_1), (A_1, B_2), (A_2, B_1), (A_2, B_2)
+        rng = np.random.default_rng(74)
+        rho = qs.make_noisy_ghz(2, 0.8)
+        for _ in range(30):
+            dirs = rng.normal(size=(4, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            bad = rng.random(4) < 0.4
+            dirs[bad] *= rng.uniform(0.5, 1.5, size=(bad.sum(), 1))
+            if not bad.any():
+                continue
+            a_dirs, b_dirs = dirs[:2], dirs[2:]
+            expected = None
+            for m, n in product(range(2), repeat=2):
+                try:
+                    qs.measurement_distribution(rho, [a_dirs[m], b_dirs[n]])
+                except ValueError as exc:
+                    expected = str(exc)
+                    break
+            with pytest.raises(ValueError) as info:
+                bc.chsh_probability_value(rho, a_dirs, b_dirs)
+            assert str(info.value) == expected
+
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError, match="two-qubit"):
             bc.chsh_probability_value(

@@ -285,6 +285,19 @@ class TestEntangledProtocol:
             )
             assert abs(result.fidelity - analytic) < 4 * max(result.stderr, 1e-4)
 
+    def test_one_born_call_per_run(self, monkeypatch):
+        calls = []
+        born = cc.measurement_distribution
+        monkeypatch.setattr(
+            cc, "measurement_distribution", lambda s, d: calls.append(np.shape(d)) or born(s, d)
+        )
+        for n, trials in ((5, 1000), (5, 3), (2, 1)):
+            calls.clear()
+            task = cc.make_mod4_task(n)
+            cc.run_entangled_protocol(task, qs.make_ghz(n), cc.mod4_settings(n), trials, seed=3)
+            drawn = np.unique(cc._draw_inputs(task, trials, seed=3)[1]).size
+            assert calls == [(drawn, n, 3)]
+
     def test_seed_determinism(self):
         task = cc.make_mod4_task(3)
         a = cc.run_entangled_protocol(task, qs.make_ghz(3), cc.mod4_settings(3), 1000, seed=7)
@@ -436,7 +449,24 @@ class TestSequentialProtocol:
         )
 
 
+def reference_chsh_game_frequencies(trials_per_pair, seed):
+    """chsh_game_equality_frequencies with one Born call per input pair."""
+    s = cc.chsh_game_settings()
+    rng = np.random.default_rng(seed)
+    freq = np.empty((2, 2))
+    for x1, x2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        probs = qs.measurement_distribution(qs.make_ghz(2), [s[0, x1], s[1, x2]]).reshape(-1)
+        idx = rng.choice(4, size=trials_per_pair, p=probs)
+        freq[x1, x2] = ((idx == 0) | (idx == 3)).mean()
+    return freq
+
+
 class TestChshGame:
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (777, 5), (20000, 17)])
+    def test_frequencies_match_reference(self, trials, seed):
+        expected = reference_chsh_game_frequencies(trials, seed)
+        assert cc.chsh_game_equality_frequencies(trials, seed).tobytes() == expected.tobytes()
+
     def test_target_formula(self):
         assert cc.chsh_game_target(0, 0) == pytest.approx(0.85355339, abs=1e-8)
         assert cc.chsh_game_target(0, 1) == pytest.approx(0.85355339, abs=1e-8)

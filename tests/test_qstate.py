@@ -1,6 +1,7 @@
 """State construction, validation, Pauli expectations, and state files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -386,10 +387,16 @@ class TestUnitDirections:
 
     def test_one_check_per_distribution(self, monkeypatch):
         calls = []
-        check = qs._check_unit_rows
+        check, bases = qs._check_unit_rows, qs._measurement_bases
         monkeypatch.setattr(qs, "_check_unit_rows", lambda d: calls.append(d.shape) or check(d))
+        monkeypatch.setattr(
+            qs, "_measurement_bases", lambda d: calls.append(("bases", d.shape)) or bases(d)
+        )
         qs.measurement_distribution(qs.make_ghz(4), np.tile([0.0, 0.0, 1.0], (4, 1)))
-        assert calls == [(4, 3)]
+        assert calls == [(4, 3), ("bases", (4, 3))]
+        calls.clear()
+        qs.measurement_distribution(qs.make_ghz(4), np.tile([0.0, 0.0, 1.0], (2, 3, 4, 1)))
+        assert calls == [(2, 3, 4, 3), ("bases", (24, 3))]
 
 
 class TestMeasurementDistribution:
@@ -445,6 +452,31 @@ class TestMeasurementDistribution:
         rho = self.unvalidated([1.0 + 1e-12, -1e-12])
         probs = qs.measurement_distribution(rho, [(0, 0, 1)])
         assert probs.tolist() == [1.0, 0.0]
+
+
+class TestStackedSettings:
+    """A stack of settings, shape (..., N, 3), gives one table per setting."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tables_equal_per_setting_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        pure = qs.StateVector(n, amps / np.linalg.norm(amps))
+        for state in (pure, random_density(n, rng)):
+            for stack in ((5,), (2, 2)):
+                dirs = rng.normal(size=stack + (n, 3))
+                dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+                tables = qs.measurement_distribution(state, dirs)
+                assert tables.shape == stack + (2,) * n
+                for idx in np.ndindex(stack):
+                    single = qs.measurement_distribution(state, dirs[idx])
+                    assert tables[idx].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 2), (4, 3), (2, 3, 4), (5, 2, 3)])
+    def test_shape_message(self, shape):
+        message = f"^need 3 directions of 3 components, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            qs.measurement_distribution(qs.make_ghz(3), np.zeros(shape))
 
 
 class TestStateJson:

@@ -107,6 +107,12 @@ class TestRandomSeparable:
 
 
 class TestMetricOperators:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_metric_weights(self, n):
+        w = st.identity_proper_metric(n).weights.reshape((4,) * n)
+        expected = np.all(np.indices((4,) * n) != 0, axis=0).astype(float)
+        assert w.tobytes() == expected.tobytes()
+
     def test_identity_metric_reduces_to_tensor_norm(self):
         metric = st.identity_proper_metric(2)
         for v in (0.1, 0.34, 0.8):
