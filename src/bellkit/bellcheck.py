@@ -80,9 +80,10 @@ def chsh_probability_value(rho: DensityMatrix, a_dirs, b_dirs) -> BellReport:
     )
 
 
-def inplane_direction(angle: float) -> np.ndarray:
-    """Unit vector cos(angle) x + sin(angle) y."""
-    return np.array([np.cos(angle), np.sin(angle), 0.0])
+def inplane_direction(angle) -> np.ndarray:
+    """Unit vector cos(a) x + sin(a) y for each angle a of a number or an
+    array of them; shape (...) + (3,)."""
+    return np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], -1)
 
 
 def chsh_optimal_configuration():
@@ -92,8 +93,7 @@ def chsh_optimal_configuration():
     Returns (rho, a_dirs, b_dirs); any of them can be replaced.
     """
     rho = make_ghz(2).projector()
-    a_dirs = np.array([inplane_direction(0.0), inplane_direction(np.pi / 2)])
-    b_dirs = np.array([inplane_direction(3 * np.pi / 4), inplane_direction(np.pi / 4)])
+    a_dirs, b_dirs = inplane_direction(np.array([[0.0, np.pi / 2], [3 * np.pi / 4, np.pi / 4]]))
     return rho, a_dirs, b_dirs
 
 

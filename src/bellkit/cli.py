@@ -53,13 +53,12 @@ def cmd_thresholds(args) -> int:
 def cmd_chsh(args) -> int:
     rho, a_dirs, b_dirs = bellcheck.chsh_optimal_configuration()
     if args.state is not None:
+        # the pure and mixed Born chains give different bits; the preset's come from the mixed one
         rho = qstate.as_density(qstate.load_state(args.state))
     if args.angles is not None:
         if not np.all(np.isfinite(args.angles)):
             raise ValueError(f"--angles must be finite numbers, got {args.angles}")
-        a1, a2, b1, b2 = args.angles
-        a_dirs = np.array([bellcheck.inplane_direction(a1), bellcheck.inplane_direction(a2)])
-        b_dirs = np.array([bellcheck.inplane_direction(b1), bellcheck.inplane_direction(b2)])
+        a_dirs, b_dirs = bellcheck.inplane_direction(np.reshape(args.angles, (2, 2)))
     report = bellcheck.chsh_probability_value(rho, a_dirs, b_dirs)
     _emit_json(
         {

@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from .bellcheck import inplane_direction
 from .corrtensor import compute_tensor
 from .qstate import _check_count, _check_party_match, _check_unit_rows, _per_party
 from .qstate import _check_state, _read_only_copy, make_ghz, measurement_distribution
@@ -128,15 +129,6 @@ def classical_optimum(task: TaskSpec) -> ClassicalOptimum:
 # --- quantum protocols -------------------------------------------------------
 
 
-def _inplane_settings(angles: np.ndarray) -> np.ndarray:
-    """The unit vectors (cos a, sin a, 0) for an (n_parties, 2) array of
-    angles a, as (n_parties, 2, 3) settings."""
-    out = np.zeros(angles.shape + (3,))
-    out[:, :, 0] = np.cos(angles)
-    out[:, :, 1] = np.sin(angles)
-    return out
-
-
 def mod4_settings(n: int) -> np.ndarray:
     """In-plane measurement directions at angle (pi/2) x_k per party.
 
@@ -144,14 +136,14 @@ def mod4_settings(n: int) -> np.ndarray:
     cos(pi/2 sum x) = f on every promise input, so the protocol is exact.
     """
     angles = np.array([[0.0, np.pi / 2]] * _check_count(n, "n_parties", 2))
-    return _inplane_settings(angles)
+    return inplane_direction(angles)
 
 
 def chsh_game_settings() -> np.ndarray:
     """Directions realizing the equality-probability target of the game:
     party 1 at angle (pi/2) x1 - pi/4, party 2 at (pi/2) x2."""
     angles = np.array([[-np.pi / 4, np.pi / 4], [0.0, np.pi / 2]])
-    return _inplane_settings(angles)
+    return inplane_direction(angles)
 
 
 def chsh_game_target(x1: int, x2: int) -> float:

@@ -294,28 +294,23 @@ def measurement_distribution(state, directions) -> np.ndarray:
 
 
 def _born_table(state, basis: np.ndarray) -> np.ndarray:
-    """The Born table of one setting, given as its (N, 2, 2) bases."""
+    """The Born table of one setting, given as its (N, 2, 2) bases.
+
+    Step k contracts qubit k's row axis with U_k^dag.  For a density matrix
+    it then contracts qubit k's column axis with U_k and keeps the diagonal
+    at once: only those entries feed the table.  The earlier qubits are
+    diagonal by then, so qubit k's column axis sits at axis n.
+    """
     n = state.n_qubits
-    if isinstance(state, StateVector):
-        amp = state.amplitudes.reshape((2,) * n)
-        for k in range(n):
-            # contract qubit k with U^dag; new axis lands at the end
-            amp = np.tensordot(basis[k].conj().T, amp, axes=([1], [k]))
-            amp = np.moveaxis(amp, 0, k)
-        probs = np.abs(amp) ** 2
-    else:
-        mat = state.matrix.reshape((2,) * (2 * n))
-        for k in range(n):
-            mat = np.moveaxis(
-                np.tensordot(basis[k].conj().T, mat, axes=([1], [k])), 0, k
-            )
-            mat = np.moveaxis(
-                np.tensordot(mat, basis[k], axes=([n + k], [0])), -1, n + k
-            )
-        diag = np.einsum(
-            "ii->i", mat.reshape((2**n, 2**n))
-        )
-        probs = diag.real.reshape((2,) * n)
+    pure = isinstance(state, StateVector)
+    arr = state.amplitudes.reshape((2,) * n) if pure else state.matrix.reshape((2,) * (2 * n))
+    for k in range(n):
+        # the new axis lands in front; move it back to k
+        arr = np.moveaxis(np.tensordot(basis[k].conj().T, arr, axes=([1], [k])), 0, k)
+        if not pure:
+            arr = np.moveaxis(np.tensordot(arr, basis[k], axes=([n], [0])), -1, n)
+            arr = np.moveaxis(np.diagonal(arr, 0, k, n), -1, k)
+    probs = np.abs(arr) ** 2 if pure else arr.real
     low = float(probs.min())
     if not low >= -1e-10:
         raise NumericalIntegrityError(f"negative Born probability {low:g}")

@@ -41,6 +41,17 @@ class TestChshProbabilityValue:
         assert report.b_value == pytest.approx(np.sqrt(2) - 1, abs=1e-9)
         assert report.violated
         assert report.bound == 0.0
+        # one array call of inplane_direction gives every angle the bits of
+        # its own scalar call
+        edges = [0.0, np.pi / 4, -np.pi / 4, np.pi / 2, np.pi, 1e-300, 1e300, -1e300]
+        angles = np.concatenate([edges, np.random.default_rng(70).uniform(-10, 10, 1992)])
+        stacked = bc.inplane_direction(angles.reshape(1000, 2))
+        assert stacked.shape == (1000, 2, 3)
+        for angle, row in zip(angles, stacked.reshape(-1, 3)):
+            assert row.tobytes() == bc.inplane_direction(float(angle)).tobytes()
+        preset = [(0.0, np.pi / 2), (3 * np.pi / 4, np.pi / 4)]
+        for dirs, pair in zip((a_dirs, b_dirs), preset):
+            assert dirs.tobytes() == np.array([bc.inplane_direction(a) for a in pair]).tobytes()
 
     def test_product_state_never_violates(self):
         rho = qs.DensityMatrix(2, qs.product_matrix([(0, 0, 1), (0, 0, 1)]))

@@ -106,6 +106,33 @@ class TestChsh:
         assert code == 0
         assert (code, out) == run_cli(capsys, "chsh", "--angles", " -1e-05", "0", "0", "0")[:2]
 
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("pure", "b8ffea40e457d7542bf3addac3cb6505e2164975e7fb78e332d14ee6fc0517bc"),
+         ("mixed", "db5810360eea96183fcd42bd3c753dc6d9438a57f77b314e1f838d8f171d55e7")],
+    )
+    def test_state_file_output_bytes(self, tmp_path, capsys, kind, expected):
+        # SHA-256 of the exit code and stdout of chsh --state, with the
+        # preset and with given angles, on 2-qubit files built from fixed
+        # seeds; recorded before the mixed Born chain took each qubit's
+        # diagonal as soon as both its sides were contracted
+        rng = np.random.default_rng(2008)
+        vecs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        if kind == "pure":
+            state = qs.StateVector(2, vecs[0])
+        else:
+            weights = np.array([0.4, 0.3, 0.2, 0.1])
+            mat = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+            state = qs.DensityMatrix(2, mat)
+        path = tmp_path / "state.json"
+        qs.save_state(path, state)
+        digest = hashlib.sha256()
+        for extra in ([], ["--angles", "0.3", "1.9", "2.4", "-0.7"]):
+            code, out, _ = run_cli(capsys, "chsh", "--state", str(path), *extra)
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == expected
+
 
 class TestRotational:
     def test_violated_case(self, capsys):

@@ -274,15 +274,17 @@ class TestEntangledProtocol:
 
     def test_monte_carlo_matches_analytic(self):
         rng = np.random.default_rng(91)
-        task = cc.make_mod4_task(3)
-        state = qs.make_ghz(3)
+        cases = []
         for trial in range(20):
             settings = rng.normal(size=(3, 2, 3))
             settings /= np.linalg.norm(settings, axis=2, keepdims=True)
+            cases.append((cc.make_mod4_task(3), qs.make_ghz(3), settings, 100000, 1000 + trial))
+        # a mixed state above N = 7
+        noisy = qs.make_noisy_ghz(8, 0.6)
+        cases.append((cc.make_mod4_task(8), noisy, cc.mod4_settings(8), 20000, 8))
+        for task, state, settings, trials, seed in cases:
             analytic = cc.quantum_fidelity_analytic(task, state, settings)
-            result = cc.run_entangled_protocol(
-                task, state, settings, 100000, seed=1000 + trial
-            )
+            result = cc.run_entangled_protocol(task, state, settings, trials, seed=seed)
             assert abs(result.fidelity - analytic) < 4 * max(result.stderr, 1e-4)
 
     def test_one_born_call_per_run(self, monkeypatch):

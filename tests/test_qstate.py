@@ -10,6 +10,7 @@ from hypothesis import strategies as hs
 
 from bellkit import qstate as qs
 from bellkit.corrtensor import compute_tensor
+from born_reference import reference_born_table
 from oracles import random_density, tensor_by_traces
 
 
@@ -477,6 +478,52 @@ class TestStackedSettings:
         message = f"^need 3 directions of 3 components, got shape {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
             qs.measurement_distribution(qs.make_ghz(3), np.zeros(shape))
+
+
+class TestBornReference:
+    """Tables are bitwise equal to the two-branch chain in born_reference.
+
+    The mixed chain keeps each qubit's diagonal as soon as both its sides
+    are contracted, so its tensordots run on smaller operands than the
+    reference's; equal bits rest on BLAS giving the same 2-term sums."""
+
+    @staticmethod
+    def directions(n, rng):
+        """Random, in-plane and axis-aligned settings, and a (2, 2) stack."""
+        rand = rng.normal(size=(n, 3))
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+        axes = np.eye(3)[rng.integers(0, 3, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+        stack = rng.normal(size=(2, 2, n, 3))
+        return [
+            rand / np.linalg.norm(rand, axis=-1, keepdims=True),
+            np.stack([np.cos(angles), np.sin(angles), np.zeros(n)], -1),
+            axes,
+            stack / np.linalg.norm(stack, axis=-1, keepdims=True),
+        ]
+
+    @staticmethod
+    def assert_matches_reference(state, dirs):
+        tables = qs.measurement_distribution(state, dirs)
+        bases = qs._measurement_bases(dirs.reshape(-1, 3)).reshape(-1, state.n_qubits, 2, 2)
+        per_setting = tables.reshape((-1,) + (2,) * state.n_qubits)
+        for table, basis in zip(per_setting, bases):
+            assert table.tobytes() == reference_born_table(state, basis).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_equal_to_two_branch_chain(self, n):
+        rng = np.random.default_rng(70 + n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        pure = qs.StateVector(n, amps / np.linalg.norm(amps))
+        states = [pure, pure.projector(), random_density(n, rng)]
+        if n >= 2:
+            states += [qs.make_noisy_ghz(n, v) for v in (0.0, 0.6, 1.0)]
+        for state in states:
+            for dirs in self.directions(n, rng):
+                self.assert_matches_reference(state, dirs)
+
+    def test_noisy_ghz_at_ten_qubits(self):
+        rng = np.random.default_rng(80)
+        self.assert_matches_reference(qs.make_noisy_ghz(10, 0.6), self.directions(10, rng)[0])
 
 
 class TestStateJson:
