@@ -239,13 +239,14 @@ def run_entangled_protocol(
     outcome_idx = np.empty(trials, dtype=int)
     for rows, probs in zip(groups, tables.reshape(drawn.size, -1)):
         outcome_idx[rows] = rng.choice(probs.size, size=rows.size, p=probs)
-    del tables, probs  # 4 MB at N = 10; the (trials, N) arrays below set the peak
+    del tables, probs  # 4 MB at N = 10
 
-    # bit b_k of the outcome index: 0 -> gamma_k = +1 (qubit 1 is the MSB)
-    gamma = 1 - 2 * _bits(outcome_idx, n)
-    y = 1 - 2 * z_bits
-    messages = y[:, : n - 1] * gamma[:, : n - 1]
-    answers = y[:, n - 1] * gamma[:, n - 1] * np.prod(messages, axis=1)
+    # A = prod_k y_k gamma_k with y_k = (-1)^z_k and gamma_k = (-1)^(bit k of
+    # the outcome index), so A is -1 to the z parity plus the index parity
+    parity = outcome_idx
+    for shift in (32, 16, 8, 4, 2, 1):  # XOR fold: bit 0 ends as the parity
+        parity = parity ^ (parity >> shift)
+    answers = 1 - 2 * ((z_bits.sum(axis=1) + parity) & 1)
     return _make_result((targets * answers).astype(float))
 
 

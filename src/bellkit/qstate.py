@@ -17,7 +17,7 @@ import numpy as np
 MAX_QUBITS = 10
 
 # load_state decodes a state file's "data" array in slices of about this many
-# characters, not as one tree of lists (twice the 52 MB text at N = 10).
+# bytes, not as one tree of lists (twice the 52 MB text at N = 10).
 _SLICE_CHARS = 1 << 20
 _SENTINEL = -1  # stands in for that array while the rest of the file decodes
 
@@ -118,7 +118,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        mat = _read_only_copy(self.matrix, complex)
+        # checked before it is copied: at N = 10 the given matrix, its copy
+        # and the Cholesky buffers would otherwise be 80 MB at once
+        mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**n
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim}, got {mat.shape}")
@@ -128,7 +130,7 @@ class DensityMatrix:
         _check_trace(mat)
         _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only_copy(mat, complex))
 
 
 def _check_trace(mat: np.ndarray) -> None:
@@ -416,32 +418,47 @@ def _load_json(text: str, what: str):
         raise ValueError(f"{what} document nests too deeply") from None
 
 
-def _read_state_document(path):
-    """The document in a state file, its text dropped on return.  Its "data"
-    array is decoded in slices cut after "],"; json.loads(text) decides unless
-    each slice is a list of number pairs and the rest, with _SENTINEL for the
-    array, decodes to a document that holds it as "data" and nowhere else."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parts, end = [], text.rfind("]")
+def _split_document(raw: bytes):
+    """The head document and the pair arrays of a state file's bytes, or
+    None.  The "data" array is decoded in slices cut after "],"; the rest,
+    with _SENTINEL for the array, must decode to a document that holds it
+    as "data" and nowhere else.  ASCII cuts never split a UTF-8 character,
+    and JSON reads \\r as it reads \\n, so a document returned here is the
+    one the whole text decodes to."""
+    parts, end = [], raw.rfind(b"]")
     try:
-        start = pos = text.index("[", text.index('"data"')) + 1
+        start = pos = raw.index(b"[", raw.index(b'"data"')) + 1
         while pos <= end:
-            cut = text.find("],", pos + _SLICE_CHARS, end)
+            cut = raw.find(b"],", pos + _SLICE_CHARS, end)
             stop = end if cut < 0 else cut + 1
-            parts.append(_float_array(json.loads("[" + text[pos:stop] + "]")))
+            parts.append(_float_array(json.loads("[" + raw[pos:stop].decode("utf-8") + "]")))
             if parts[-1] is None or parts[-1].shape[1:] != (2,):
-                return _load_json(text, "state")
+                return None
             pos = stop + 1
-        rest = text[: start - 1] + str(_SENTINEL) + text[end + 1 :]
-        head, pairs = json.loads(rest), np.concatenate(parts)  # no slices: ValueError
-    except (ValueError, RecursionError):
-        return _load_json(text, "state")
+        rest = (raw[: start - 1] + b"%d" % _SENTINEL + raw[end + 1 :]).decode("utf-8")
+        head = json.loads(rest)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
     data = head.get("data") if isinstance(head, dict) else None
-    if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
-        return _load_json(text, "state")
+    if not parts or type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+        return None
+    return head, parts
+
+
+def _read_state_document(path):
+    """The document in a state file, its bytes dropped on return.  A file
+    that _split_document cannot read is decoded whole, to the text that
+    open(path, "r", encoding="utf-8").read() gives: strict UTF-8, whose
+    errors name whole-file byte positions, and universal newlines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    split = _split_document(raw)
+    if split is None:
+        return _load_json(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), "state")
+    del raw  # before the pairs are joined into a second copy
+    head, parts = split
     head["data"] = _DecodedData()
-    head["data"].pairs = pairs
+    head["data"].pairs = np.concatenate(parts)
     return head
 
 

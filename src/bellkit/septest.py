@@ -96,7 +96,7 @@ class DenseMetric:
     def __init__(self, n_qubits: int, matrix):
         n = _check_count(n_qubits, "n_qubits", 1, MAX_QUBITS)
         dim = 4**n
-        m = _read_only_copy(matrix, float)
+        m = np.asarray(matrix, dtype=float)  # checked before it is copied
         if m.shape != (dim, dim):
             raise ValueError(f"metric matrix must be {dim}x{dim}, got {m.shape}")
         sym_err = float(np.max(np.abs(m - m.T)))
@@ -104,7 +104,7 @@ class DenseMetric:
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
         _require_positive(m, "metric not non-negative: min eigenvalue {:g}")
         self.n_qubits = n
-        self.matrix = m
+        self.matrix = _read_only_copy(m, float)
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
         return self.matrix @ flat

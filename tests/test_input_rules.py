@@ -12,6 +12,7 @@ from bellkit import commcomplex as cc
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from bellkit import septest as st
+from oracles import random_density
 
 
 def _tensor_values():
@@ -187,6 +188,14 @@ def _owned_cases():
     mat = np.eye(8, dtype=complex) / 8
     yield pytest.param(lambda: qs.DensityMatrix(3, mat), [mat], lambda s: [s.matrix],
                        id="DensityMatrix")
+    # a full complex matrix, and the transpose of one: writes to the base
+    # array must not reach the state built from its view
+    full = random_density(3, np.random.default_rng(3)).matrix.copy()
+    yield pytest.param(lambda: qs.DensityMatrix(3, full), [full], lambda s: [s.matrix],
+                       id="DensityMatrix-complex")
+    base = random_density(3, np.random.default_rng(4)).matrix.copy()
+    yield pytest.param(lambda: qs.DensityMatrix(3, base.T), [base], lambda s: [s.matrix],
+                       id="DensityMatrix-transposed-view")
     f, p = (a.copy() for a in _mod4_arrays())
     yield pytest.param(lambda: cc.TaskSpec(3, f, p), [f, p],
                        lambda t: [t.f, t.p_prime], id="TaskSpec")

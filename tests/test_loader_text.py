@@ -134,3 +134,69 @@ def test_load_state_matches_whole_text_path(workdir, text, slice_chars):
     with mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
         got = outcome(lambda: qs.load_state(path))
     assert got == outcome(lambda: reference_load(text))
+
+
+def reference_file_load(path):
+    """The whole-text path on the file as a text read gives it: strict
+    UTF-8 with whole-file error positions, and universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return reference_load(text)
+
+
+BAD_BYTES = [b"\xff", b"\xc3", b"\xe2\x98", b"\xed\xa0\x80"]  # invalid, cut short, surrogate
+NON_ASCII = '"name": "été ☃ \U0001d11e", '
+
+
+@hs.composite
+def state_files(draw):
+    """A state document as file bytes: a text from state_texts with \\n, \\r\\n
+    or lone \\r line ends, perhaps a non-ASCII string field in front, a UTF-8
+    BOM, or a byte that is not UTF-8 in the head, in "data" or after it."""
+    text = draw(state_texts())
+    if text.startswith("{") and draw(hs.booleans()):
+        text = "{" + NON_ASCII + text[1:]
+    raw = text.replace("\n", draw(hs.sampled_from(["\n", "\r\n", "\r"]))).encode("utf-8")
+    where = draw(hs.sampled_from([None] * 4 + ["head", "data", "tail"]))
+    if where is not None:
+        key = raw.find(b'"data"')
+        at = {
+            "head": 1,
+            "data": raw.find(b"],", key) + 2 if key >= 0 else -1,
+            "tail": raw.rfind(b"]") + 1,
+        }[where]
+        at = at if at > 0 else len(raw)
+        raw = raw[:at] + draw(hs.sampled_from(BAD_BYTES)) + raw[at:]
+    if draw(hs.integers(0, 7)) == 0:
+        raw = b"\xef\xbb\xbf" + raw
+    return raw
+
+
+def indented(doc, newline):
+    return json.dumps(doc, indent=2).replace("\n", newline).encode("utf-8")
+
+
+MIXED = {"n_qubits": 1, "kind": "mixed", "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
+
+
+@FUZZ
+@given(state_files(), hs.integers(1, 48))
+@example(indented(GOOD, "\r\n"), 1)
+@example(indented(MIXED, "\r\n"), 3)
+@example(indented(GOOD, "\r"), 2)
+@example(indented(MIXED, "\r"), 5)
+@example(b"\xef\xbb\xbf" + json.dumps(GOOD).encode(), 4)
+@example(b'{"n_qubits": 1, \xff"kind": "pure", "data": [[1, 0], [0, 0]]}', 2)
+@example(b'{"n_qubits": 1, "kind": "pure", "data": [[1, 0], \xff[0, 0]]}', 2)
+@example(b'{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]], "x": "\xe2\x98"}', 2)
+@example(b'{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]}\xff', 2)
+@example(("{" + NON_ASCII + json.dumps(GOOD)[1:]).encode(), 1)
+@example(("{" + NON_ASCII + json.dumps(MIXED, indent=2)[1:]).replace("\n", "\r").encode(), 2)
+@example(b'{"n_qubits": 1, "kind": "pure", "data": [[1, 0], ["\xc3\xa9", 0]]}', 2)
+@example(b'{"n_qubits": 1, "kind": "pure", "note": "a\rb", "data": [[1, 0], [0, 0]]}', 2)
+def test_load_state_matches_text_read_of_file_bytes(workdir, raw, slice_chars):
+    path = workdir / "state_bytes.json"
+    path.write_bytes(raw)
+    with mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
+        got = outcome(lambda: qs.load_state(path))
+    assert got == outcome(lambda: reference_file_load(path))
