@@ -24,7 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-# at this many trials a sequential run at N = 20 peaks near 0.7 GB
+# at this many trials a sequential run at N = 20 peaks near 275 MB
 MAX_TRIALS = 10**6
 
 

@@ -10,6 +10,7 @@ carry the N-party correlations contracted here.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,10 +91,17 @@ def compute_tensor(state: StateVector | DensityMatrix) -> CorrelationTensor:
     Traces the density matrix qubit by qubit against the four Paulis on its
     (row, col) pairs, so the cost is O(N 4^N) instead of 4^N separate
     operator traces.
+
+    The matrix is freed once its pairs are copied, if nothing else holds
+    it: a caller's temporary state, or the projector of a pure state.  The
+    contraction then holds two matrix sizes at most.
     """
     rho = as_density(state)
     n = rho.n_qubits
-    arr = _per_party(_pair_axes(rho.matrix, n), [_PAULI_PAIRS] * n)
+    pairs = [_pair_axes(rho.matrix, n)]
+    del state, rho
+    # handed over, not named: _per_party frees the copy after the first party
+    arr = _per_party(pairs.pop(), [_PAULI_PAIRS] * n)
     residue = float(np.max(np.abs(arr.imag)))
     if residue > 1e-8:
         raise NumericalIntegrityError(
@@ -307,13 +315,15 @@ def max_product_value(
 def tensor_to_csv(t: CorrelationTensor, fh) -> None:
     """Write one row per index tuple in C order: columns j1..jN then the value."""
     n = t.n_qubits
-    # The rows of one leading index as one %-template with a %r (float.__repr__)
-    # per value: one C-level format call encodes a quarter of the tensor.  Each
-    # pass prepends an index column that varies slower than those there: C order.
+    lead = min(2, n)  # index columns fixed per block: 4^lead blocks
+    # The rows of one block as one %-template with a %r (float.__repr__) per
+    # value: one C-level format call encodes 4^(N-lead) values.  Each pass
+    # prepends an index column that varies slower than those there: C order.
     rows = "%r"
-    for _ in range(n - 1):
+    for _ in range(n - lead):
         rows = "\r\n".join(d + "," + rows.replace("\r\n", "\r\n" + d + ",") for d in "0123")
     fh.write(",".join([f"j{k}" for k in range(1, n + 1)] + ["value"]) + "\r\n")
-    for d, values in zip("0123", t.values):
-        chunk = d + "," + rows.replace("\r\n", "\r\n" + d + ",") + "\r\n"
-        fh.write(chunk % tuple(values.reshape(-1).tolist()))
+    prefixes = map(",".join, itertools.product("0123", repeat=lead))
+    for prefix, values in zip(prefixes, t.values.reshape(4**lead, -1)):
+        chunk = prefix + "," + rows.replace("\r\n", "\r\n" + prefix + ",") + "\r\n"
+        fh.write(chunk % tuple(values.tolist()))

@@ -15,6 +15,7 @@ from contraction_reference import (
     reference_strategy_signs,
 )
 from oracles import tree_protocol_optimum
+from sequential_reference import whole_array_phase_sums, whole_array_sequential_protocol
 
 
 def support_tuples(task):
@@ -449,6 +450,33 @@ class TestSequentialProtocol:
         assert cc.run_sequential_protocol(task, 500, seed=5) == cc.run_sequential_protocol(
             task, 500, seed=5
         )
+
+    @pytest.mark.parametrize("n", [2, 10, 20])
+    @pytest.mark.parametrize(
+        "trials",
+        [1, cc._SEQUENTIAL_BLOCK - 1, cc._SEQUENTIAL_BLOCK, cc._SEQUENTIAL_BLOCK + 1, 10**5],
+    )
+    def test_blocks_match_the_whole_array(self, n, trials):
+        """The phase sums, formed a block of trials at a time, are bitwise
+        those of the whole (trials, N) arrays, and the results are equal."""
+        task = cc.make_mod4_task(n)
+        support, x_idx, z_bits, _, _ = cc._draw_inputs(task, trials, seed=n)
+        got = cc._phase_sums(support, x_idx, z_bits)
+        assert got.tobytes() == whole_array_phase_sums(support, x_idx, z_bits).tobytes()
+        expected = whole_array_sequential_protocol(task, trials, seed=n)
+        assert cc.run_sequential_protocol(task, trials, seed=n) == expected
+
+    def test_memory_at_ten_parties(self):
+        # the whole (trials, N) x bits and phases took 32 MiB at 10^5 trials
+        task = cc.make_mod4_task(10)
+        z_bytes = 10**5 * 10 * 8  # the drawn z bits, held for the whole run
+        tracemalloc.start()
+        try:
+            cc.run_sequential_protocol(task, 10**5, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * z_bytes
 
 
 def reference_chsh_game_frequencies(trials_per_pair, seed):
