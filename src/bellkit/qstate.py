@@ -281,7 +281,9 @@ def measurement_distribution(state, directions) -> np.ndarray:
     (..., N, 3).  The state, the shape and all norms are checked once, and
     the first bad norm in C order is named.  Returns one table per setting,
     shape (...) + (2,)*N; index bit 0 along qubit k means outcome +1 on that
-    qubit, bit 1 means outcome -1.
+    qubit, bit 1 means outcome -1.  Settings that agree on their first k
+    bases share the first k steps of the chain (_walk), and a negative table
+    raises once the walk is done, the first in stack order.
     """
     _check_state(state)
     dirs = np.asarray(directions, dtype=float)
@@ -289,35 +291,50 @@ def measurement_distribution(state, directions) -> np.ndarray:
     if dirs.shape[-2:] != (n, 3):
         raise ValueError(f"need {n} directions of 3 components, got shape {dirs.shape}")
     bases = _measurement_bases(_check_unit_rows(dirs).reshape(-1, 3)).reshape(-1, n, 2, 2)
+    pure = isinstance(state, StateVector)
+    root = state.amplitudes.reshape((2,) * n) if pure else state.matrix.reshape((2,) * (2 * n))
     out = np.empty(dirs.shape[:-2] + (2,) * n)
-    for table, basis in zip(out.reshape((-1,) + (2,) * n), bases):  # views into out
-        table[...] = _born_table(state, basis)
+    errors = []
+    _walk(root, 0, range(len(bases)), bases, pure, out.reshape((-1,) + (2,) * n), errors)
+    if errors:
+        raise NumericalIntegrityError(min(errors)[1])
     return out
 
 
-def _born_table(state, basis: np.ndarray) -> np.ndarray:
-    """The Born table of one setting, given as its (N, 2, 2) bases.
+def _walk(arr, k, rows, bases, pure, tables, errors) -> None:
+    """Fill tables[r], a view into the output, for every setting r in rows,
+    depth-first over the (S, N, 2, 2) bases.  The settings in rows share
+    their bases on qubits 0..k-1 and so share arr, the array after step
+    k-1; each group that also shares basis k takes step k once.  A negative
+    table is not filled; (its first setting, message) goes to errors.
 
     Step k contracts qubit k's row axis with U_k^dag.  For a density matrix
     it then contracts qubit k's column axis with U_k and keeps the diagonal
     at once: only those entries feed the table.  The earlier qubits are
     diagonal by then, so qubit k's column axis sits at axis n.
     """
-    n = state.n_qubits
-    pure = isinstance(state, StateVector)
-    arr = state.amplitudes.reshape((2,) * n) if pure else state.matrix.reshape((2,) * (2 * n))
-    for k in range(n):
+    n = bases.shape[1]
+    if k == n:
+        # on the leaf as it is: the sum's bits follow its memory order
+        probs = np.abs(arr) ** 2 if pure else arr.real
+        low = float(probs.min())
+        if not low >= -1e-10:
+            errors.append((rows[0], f"negative Born probability {low:g}"))
+            return
+        probs = np.clip(probs, 0.0, None)  # rounding residues only
+        tables[rows] = probs / probs.sum()
+        return
+    groups = {}
+    for r in rows:
+        groups.setdefault(bases[r, k].tobytes(), []).append(r)
+    for group in groups.values():
+        u = bases[group[0], k]
         # the new axis lands in front; move it back to k
-        arr = np.moveaxis(np.tensordot(basis[k].conj().T, arr, axes=([1], [k])), 0, k)
+        step = np.moveaxis(np.tensordot(u.conj().T, arr, axes=([1], [k])), 0, k)
         if not pure:
-            arr = np.moveaxis(np.tensordot(arr, basis[k], axes=([n], [0])), -1, n)
-            arr = np.moveaxis(np.diagonal(arr, 0, k, n), -1, k)
-    probs = np.abs(arr) ** 2 if pure else arr.real
-    low = float(probs.min())
-    if not low >= -1e-10:
-        raise NumericalIntegrityError(f"negative Born probability {low:g}")
-    probs = np.clip(probs, 0.0, None)  # rounding residues only
-    return probs / probs.sum()
+            step = np.moveaxis(np.tensordot(step, u, axes=([n], [0])), -1, n)
+            step = np.moveaxis(np.diagonal(step, 0, k, n), -1, k)
+        _walk(step, k + 1, group, bases, pure, tables, errors)
 
 
 # --- JSON state format -------------------------------------------------------

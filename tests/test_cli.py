@@ -237,6 +237,20 @@ class TestCommrun:
             "modulo-4 sum task only\n"
         )
 
+    @pytest.mark.parametrize("n", [11, 20])
+    def test_ghz_beyond_ten_parties_exits_2_before_the_search(self, capsys, monkeypatch, n):
+        def no_search(task):
+            raise AssertionError("classical_optimum ran")
+
+        monkeypatch.setattr(cli.commcomplex, "classical_optimum", no_search)
+        code, out, err = run_cli(
+            capsys,
+            "commrun", "--task", "mod4", "--n", str(n),
+            "--protocol", "classical", "ghz", "sequential",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --protocol ghz needs --n at most 10, got {n}\n"
+
     def test_mod4_at_14_parties_reports_bound_and_exact_sequential(self, capsys):
         code, out, _ = run_cli(
             capsys,

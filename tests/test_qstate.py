@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from bellkit import qstate as qs
+from bellkit.commcomplex import make_mod4_task, mod4_settings
 from bellkit.corrtensor import compute_tensor
 from born_reference import reference_born_table
 from oracles import random_density, tensor_by_traces
@@ -524,6 +525,98 @@ class TestBornReference:
     def test_noisy_ghz_at_ten_qubits(self):
         rng = np.random.default_rng(80)
         self.assert_matches_reference(qs.make_noisy_ghz(10, 0.6), self.directions(10, rng)[0])
+
+
+class TestPrefixWalk:
+    """A stack's settings share the steps of their common basis prefix, yet
+    each table stays bitwise equal to the chain run for its setting alone."""
+
+    @staticmethod
+    def mod4_stack(n):
+        """The settings of the mod-4 protocol at every support point, in
+        support order."""
+        support = np.flatnonzero(make_mod4_task(n).support)
+        bits = (support[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return mod4_settings(n)[np.arange(n), bits]
+
+    @staticmethod
+    def states(n, rng):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return [
+            qs.make_ghz(n),
+            qs.make_noisy_ghz(n, 0.6),
+            qs.StateVector(n, amps / np.linalg.norm(amps)),
+            random_density(n, rng),
+        ]
+
+    @staticmethod
+    def random_dirs(shape, rng):
+        dirs = rng.normal(size=shape + (3,))
+        return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_mod4_support_stacks(self, n):
+        rng = np.random.default_rng(90 + n)
+        dirs = self.mod4_stack(n)
+        for state in self.states(n, rng):
+            TestBornReference.assert_matches_reference(state, dirs)
+
+    def test_duplicate_settings(self):
+        rng = np.random.default_rng(95)
+        base = self.random_dirs((3, 4), rng)
+        dirs = base[[0, 1, 0, 2, 1, 0]]
+        for state in self.states(4, rng):
+            TestBornReference.assert_matches_reference(state, dirs)
+
+    def test_interleaved_prefixes(self):
+        # stack order jumps between prefixes, so it is not the walk's order
+        rng = np.random.default_rng(96)
+        dirs = self.mod4_stack(5)[np.arange(16).reshape(2, 8).T.ravel()]
+        assert not np.array_equal(dirs[0, 0], dirs[1, 0])
+        assert np.array_equal(dirs[0, 0], dirs[2, 0])
+        for state in self.states(5, rng):
+            TestBornReference.assert_matches_reference(state, dirs)
+
+    def test_no_shared_prefix(self):
+        rng = np.random.default_rng(97)
+        dirs = self.random_dirs((6, 4), rng)
+        for state in self.states(4, rng):
+            TestBornReference.assert_matches_reference(state, dirs)
+
+    @pytest.mark.parametrize("state", [qs.make_ghz(3), qs.make_noisy_ghz(3, 0.5)])
+    def test_empty_stack(self, state):
+        tables = qs.measurement_distribution(state, np.zeros((0, 3, 3)))
+        assert tables.shape == (0, 2, 2, 2)
+        assert tables.dtype == float
+
+    def test_first_negative_table_in_stack_order_raises(self):
+        # diag(1.5, -0.2, 0.1, -0.4), unvalidated: zx has the negative entry
+        # -0.15 and xz -0.3.  The walk reaches xz (shares x with row 0) first.
+        rho = object.__new__(qs.DensityMatrix)
+        object.__setattr__(rho, "n_qubits", 2)
+        object.__setattr__(rho, "matrix", np.diag([1.5, -0.2, 0.1, -0.4]).astype(complex))
+        x, z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+        stack = np.array([[x, x], [z, x], [x, z]])
+        with pytest.raises(qs.NumericalIntegrityError) as single:
+            qs.measurement_distribution(rho, stack[1])
+        with pytest.raises(qs.NumericalIntegrityError) as stacked:
+            qs.measurement_distribution(rho, stack)
+        assert str(stacked.value) == str(single.value) == "negative Born probability -0.15"
+
+    def test_tensordot_count_on_the_ghz_mod4_stack(self, monkeypatch):
+        # 2 + 4 + ... + 512 prefixes on qubits 1..9, and 512 on qubit 10
+        # (its basis follows from the parity); a chain per setting runs 5120
+        calls = []
+        tensordot = np.tensordot
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tensordot", counting)
+        tables = qs.measurement_distribution(qs.make_ghz(10), self.mod4_stack(10))
+        assert tables.shape == (512,) + (2,) * 10
+        assert len(calls) == 1534
 
 
 class TestStateJson:
