@@ -13,6 +13,7 @@ import contextlib
 import json
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,7 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-# at this many trials a sequential run at N = 20 peaks near 275 MB
+# at this many trials a sequential run at N = 20 peaks near 237 MB
 MAX_TRIALS = 10**6
 
 
@@ -60,15 +61,9 @@ def cmd_chsh(args) -> int:
             raise ValueError(f"--angles must be finite numbers, got {args.angles}")
         a_dirs, b_dirs = bellcheck.inplane_direction(np.reshape(args.angles, (2, 2)))
     report = bellcheck.chsh_probability_value(rho, a_dirs, b_dirs)
-    _emit_json(
-        {
-            "b_value": report.b_value,
-            "bound": report.bound,
-            "violated": report.violated,
-            "equality_probabilities": report.equality_probabilities.tolist(),
-        },
-        args.out,
-    )
+    doc = asdict(report)
+    doc["equality_probabilities"] = report.equality_probabilities.tolist()
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -76,19 +71,7 @@ def cmd_rotational(args) -> int:
     tensor = corrtensor.compute_tensor(qstate.make_noisy_ghz(args.n, args.v))
     frame = corrtensor.xy_frame(args.n)
     report = bellcheck.rotational_test(tensor, frame, seed=args.seed)
-    _emit_json(
-        {
-            "n": args.n,
-            "v": args.v,
-            "seed": args.seed,
-            "s_value": report.s_value,
-            "e_max": report.e_max,
-            "bound": report.bound,
-            "violated": report.violated,
-            "converged": report.converged,
-        },
-        args.out,
-    )
+    _emit_json({"n": args.n, "v": args.v, "seed": args.seed, **asdict(report)}, args.out)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -97,11 +80,9 @@ def _make_task(name: str, n: int) -> commcomplex.TaskSpec:
         raise ValueError(f"--n must be at most 20, got {n}")
     if name == "mod4":
         return commcomplex.make_mod4_task(n)
-    if name == "chsh-game":
-        if n != 2:
-            raise ValueError("the chsh-game task is defined for exactly 2 parties")
-        return commcomplex.make_chsh_game()
-    raise ValueError(f"unknown task {name!r}")
+    if n != 2:  # chsh-game; argparse allows no other task
+        raise ValueError("the chsh-game task is defined for exactly 2 parties")
+    return commcomplex.make_chsh_game()
 
 
 def cmd_commrun(args) -> int:
@@ -126,21 +107,16 @@ def cmd_commrun(args) -> int:
             result = commcomplex.run_entangled_protocol(
                 task, qstate.make_ghz(args.n), settings, args.trials, args.seed
             )
-        elif protocol == "sequential":
+        else:  # sequential; argparse allows no other choice
             result = commcomplex.run_sequential_protocol(task, args.trials, args.seed)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown protocol {protocol!r}")
         records.append(
             {
                 "task": args.task,
                 "n": args.n,
                 "protocol": protocol,
-                "fidelity": result.fidelity,
-                "success_prob": result.success_prob,
-                "stderr": result.stderr,
-                "trials": result.trials,
                 "classical_bound": bound,
                 "seed": args.seed,
+                **asdict(result),
             }
         )
     _emit_json(records[0] if len(records) == 1 else records, args.out)

@@ -198,23 +198,28 @@ def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
     """Draw x from the promise, then z uniformly, on one default_rng(seed).
 
     Returns the flat indices of the support points (C order), the drawn
-    positions in that array, the z bits, the targets T = f(x)
-    (-1)^(z_1+..+z_N), and the generator, so the caller continues the same
-    stream.
+    positions in that array, the per-trial sums z_1+..+z_N, the targets
+    T = f(x) (-1)^(z_1+..+z_N), and the generator, so the caller continues
+    the same stream.  The (trials, N) z bits are summed and freed here.
     """
     trials = _check_count(trials, "trials", 1)
     support = np.flatnonzero(task.support)
     rng = np.random.default_rng(seed)
     x_idx = rng.choice(support.size, size=trials, p=task.p_prime.reshape(-1)[support])
-    z_bits = rng.integers(0, 2, size=(trials, task.n_parties))
+    z_sums = rng.integers(0, 2, size=(trials, task.n_parties)).sum(axis=1)
     f_vals = task.f.reshape(-1)[support[x_idx]]
-    targets = f_vals * (1 - 2 * (z_bits.sum(axis=1) % 2))
-    return support, x_idx, z_bits, targets, rng
+    targets = f_vals * (1 - 2 * (z_sums % 2))
+    return support, x_idx, z_sums, targets, rng
 
 
 def _bits(flat: np.ndarray, n: int) -> np.ndarray:
     """The n index bits of flat indices into a (2,)*n array, axis 1 first."""
     return (flat[..., None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _bit_counts(flat: np.ndarray, n: int) -> np.ndarray:
+    """The number of set bits among the n index bits of each flat index."""
+    return sum((flat >> k) & 1 for k in range(n))
 
 
 def run_entangled_protocol(
@@ -229,7 +234,7 @@ def run_entangled_protocol(
     """
     s = _check_settings(task, state, settings)
     n = task.n_parties
-    support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
+    support, x_idx, z_sums, targets, rng = _draw_inputs(task, trials, seed)
 
     # joint Born distribution is fixed per support point; sample per group,
     # groups in support order, trials in drawn order within a group
@@ -242,11 +247,8 @@ def run_entangled_protocol(
     del tables, probs  # 4 MB at N = 10
 
     # A = prod_k y_k gamma_k with y_k = (-1)^z_k and gamma_k = (-1)^(bit k of
-    # the outcome index), so A is -1 to the z parity plus the index parity
-    parity = outcome_idx
-    for shift in (32, 16, 8, 4, 2, 1):  # XOR fold: bit 0 ends as the parity
-        parity = parity ^ (parity >> shift)
-    answers = 1 - 2 * ((z_bits.sum(axis=1) + parity) & 1)
+    # the outcome index), so A is -1 to the z sum plus the index's bit count
+    answers = 1 - 2 * ((z_sums + _bit_counts(outcome_idx, n)) & 1)
     return _make_result((targets * answers).astype(float))
 
 
@@ -268,24 +270,6 @@ def _require_mod4(task: TaskSpec) -> None:
         )
 
 
-_SEQUENTIAL_BLOCK = 1 << 13  # trials per block of _phase_sums
-
-
-def _phase_sums(support: np.ndarray, x_idx: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
-    """Per trial, the sum over the parties of pi z_k + (pi/2) x_k, with x the
-    bits of support[x_idx].  Built _SEQUENTIAL_BLOCK trials at a time: every
-    row sums as it does in the whole (trials, N) array, whose x bits and
-    phases would take 8 N bytes per trial each (160 MB at N = 20 and 10^6
-    trials)."""
-    n = z_bits.shape[1]
-    sums = np.empty(x_idx.size)
-    for lo in range(0, x_idx.size, _SEQUENTIAL_BLOCK):
-        block = slice(lo, lo + _SEQUENTIAL_BLOCK)
-        x_bits = _bits(support[x_idx[block]], n)
-        sums[block] = (np.pi * z_bits[block] + (np.pi / 2) * x_bits).sum(axis=1)
-    return sums
-
-
 def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolResult:
     """Entanglement-free protocol: one qubit hops through all partners.
 
@@ -299,8 +283,10 @@ def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolR
     unitary producing the same relative phase works equally well.
     """
     _require_mod4(task)
-    support, x_idx, z_bits, targets, rng = _draw_inputs(task, trials, seed)
-    amp1 = np.exp(1j * _phase_sums(support, x_idx, z_bits))  # amplitude of |1> after all hops
+    support, x_idx, z_sums, targets, rng = _draw_inputs(task, trials, seed)
+    x_sums = _bit_counts(support[x_idx], task.n_parties)
+    # amplitude of |1> after all hops, whose phases add up
+    amp1 = np.exp(1j * (np.pi * z_sums + (np.pi / 2) * x_sums))
     p_plus = np.clip((1.0 + amp1.real) / 2.0, 0.0, 1.0)
     answers = np.where(rng.random(trials) < p_plus, 1, -1)
     return _make_result((targets * answers).astype(float))

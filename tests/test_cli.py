@@ -275,6 +275,31 @@ class TestCommrun:
             "322500a5d840ca57434aee17c8c75c20462dd64c694f00c5cf31448f12eb1fb8"
         )
 
+    @pytest.mark.parametrize(
+        "n, protocols, expected",
+        [
+            (
+                "10",
+                ["classical", "ghz", "sequential"],
+                "a93b33818ed2fc0d9248a8adbc418037ce8581d439e70a45fbada198b8a7a13c",
+            ),
+            (
+                "20",
+                ["classical", "sequential"],
+                "5e32b97b93d09cf0113a5f65361276d8d14500476e843fd345dff76beae8271e",
+            ),
+        ],
+    )
+    def test_protocol_bytes_at_large_n(self, capsys, n, protocols, expected):
+        # SHA-256 of stdout at 10^5 trials, recorded while the sequential
+        # phases were built from the (trials, N) z and x bits
+        code, out, _ = run_cli(
+            capsys, "commrun", "--task", "mod4", "--n", n,
+            "--protocol", *protocols, "--trials", "100000",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
     def test_too_many_parties_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "commrun", "--task", "mod4", "--n", "21", "--protocol", "classical"

@@ -15,7 +15,17 @@ from contraction_reference import (
     reference_strategy_signs,
 )
 from oracles import tree_protocol_optimum
-from sequential_reference import whole_array_phase_sums, whole_array_sequential_protocol
+from sequential_reference import whole_array_sequential_protocol
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of one call fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def support_tuples(task):
@@ -307,6 +317,13 @@ class TestEntangledProtocol:
         b = cc.run_entangled_protocol(task, qs.make_ghz(3), cc.mod4_settings(3), 1000, seed=7)
         assert a == b
 
+    def test_peak_below_one_and_a_half_z_draws(self):
+        # with the z bits held for the whole run it peaked at about 1.95 draws
+        task, ghz, settings = cc.make_mod4_task(10), qs.make_ghz(10), cc.mod4_settings(10)
+        z_bytes = 10**5 * 10 * 8  # the (trials, N) int64 z draw
+        peak = traced_peak(cc.run_entangled_protocol, task, ghz, settings, 10**5, seed=3)
+        assert peak < 1.5 * z_bytes
+
     def test_trials_validation(self):
         task = cc.make_mod4_task(2)
         with pytest.raises(ValueError, match="trials"):
@@ -452,19 +469,19 @@ class TestSequentialProtocol:
         )
 
     @pytest.mark.parametrize("n", [2, 10, 20])
-    @pytest.mark.parametrize(
-        "trials",
-        [1, cc._SEQUENTIAL_BLOCK - 1, cc._SEQUENTIAL_BLOCK, cc._SEQUENTIAL_BLOCK + 1, 10**5],
-    )
+    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 10**5])
     def test_blocks_match_the_whole_array(self, n, trials):
-        """The phase sums, formed a block of trials at a time, are bitwise
-        those of the whole (trials, N) arrays, and the results are equal."""
+        """The results equal those of the whole (trials, N) arrays, at trial
+        counts around the 8192-trial blocks the phases were once built in."""
         task = cc.make_mod4_task(n)
-        support, x_idx, z_bits, _, _ = cc._draw_inputs(task, trials, seed=n)
-        got = cc._phase_sums(support, x_idx, z_bits)
-        assert got.tobytes() == whole_array_phase_sums(support, x_idx, z_bits).tobytes()
         expected = whole_array_sequential_protocol(task, trials, seed=n)
         assert cc.run_sequential_protocol(task, trials, seed=n) == expected
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_the_whole_array_at_every_size(self, n):
+        task = cc.make_mod4_task(n)
+        expected = whole_array_sequential_protocol(task, 20000, seed=100 + n)
+        assert cc.run_sequential_protocol(task, 20000, seed=100 + n) == expected
 
     def test_memory_at_ten_parties(self):
         # the whole (trials, N) x bits and phases took 32 MiB at 10^5 trials
@@ -477,6 +494,12 @@ class TestSequentialProtocol:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * z_bytes
+
+    def test_peak_below_one_and_a_half_z_draws(self):
+        # with the z bits held for the whole run it peaked at about 1.8 draws
+        z_bytes = 10**5 * 10 * 8  # the (trials, N) int64 z draw
+        peak = traced_peak(cc.run_sequential_protocol, cc.make_mod4_task(10), 10**5, seed=3)
+        assert peak < 1.5 * z_bytes
 
 
 def reference_chsh_game_frequencies(trials_per_pair, seed):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ascent_reference import reference_ascend, reference_random_starts
+from ascent_reference import reference_ascend, reference_contract, reference_random_starts
 from bellkit import bellcheck as bc
 from bellkit import corrtensor as ct
 from bellkit import qstate as qs
@@ -373,6 +373,22 @@ class TestAscentMatchesReference:
             assert new.value == ref.value
             assert np.array_equal(new.directions, ref.directions)
             assert new.converged == ref.converged
+
+    def test_bitwise_equal_when_some_gradients_vanish(self):
+        # w = a x e_z x c: a restart whose party-2 start is e_x has a zero
+        # gradient for party 1 and keeps that direction for a step
+        rng = np.random.default_rng(4000)
+        a, c = rng.normal(size=(2, 3))
+        w = np.einsum("i,j,k->ijk", a, np.eye(3)[2], c)
+        starts = ct._random_starts(3, 0, 4)
+        starts[1, 1] = np.eye(3)[0]
+        norms = np.linalg.norm(reference_contract(w, starts, free=0), axis=1)
+        assert norms[1] == 0.0 and np.all(np.delete(norms, 1) > 0.0)
+        ref = reference_ascend(w, starts.copy())
+        new = ct._ascend(w, starts)
+        assert new.value == ref.value
+        assert np.array_equal(new.directions, ref.directions)
+        assert new.converged == ref.converged
 
     def test_max_product_value_on_states(self):
         rng = np.random.default_rng(65)
