@@ -25,7 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-# at this many trials a sequential run at N = 20 peaks near 237 MB
+# at this many trials a cold sequential run at N = 20 peaks near 237 MB (ru_maxrss)
 MAX_TRIALS = 10**6
 
 

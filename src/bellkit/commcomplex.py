@@ -194,22 +194,36 @@ def _make_result(scores: np.ndarray) -> ProtocolResult:
     )
 
 
+def _sample(probs: np.ndarray, counts, rng) -> np.ndarray:
+    """counts[i] flat indices drawn from table i of the stack probs, table by
+    table, from one rng.random(sum(counts)).  Each table's cdf is inverted as
+    Generator.choice inverts its p, less choice's checks of p: the indices
+    and the generator's state after are those of one choice call per table.
+    A zero entry is a flat step of the cdf, which side="right" never draws."""
+    u = rng.random(int(np.sum(counts)))
+    ends = np.cumsum(counts)
+    out = np.empty(u.size, dtype=np.int64)
+    for row, a, b in zip(probs.reshape(len(counts), -1), ends - counts, ends):
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        out[a:b] = cdf.searchsorted(u[a:b], side="right")
+    return out
+
+
 def _draw_inputs(task: TaskSpec, trials: int, seed: int) -> tuple:
     """Draw x from the promise, then z uniformly, on one default_rng(seed).
 
-    Returns the flat indices of the support points (C order), the drawn
-    positions in that array, the per-trial sums z_1+..+z_N, the targets
-    T = f(x) (-1)^(z_1+..+z_N), and the generator, so the caller continues
-    the same stream.  The (trials, N) z bits are summed and freed here.
+    Returns the drawn x as flat indices (C order), the per-trial sums
+    z_1+..+z_N, the targets T = f(x) (-1)^(z_1+..+z_N), and the generator,
+    so the caller continues the same stream.  The (trials, N) z bits are
+    summed and freed here.
     """
     trials = _check_count(trials, "trials", 1)
-    support = np.flatnonzero(task.support)
     rng = np.random.default_rng(seed)
-    x_idx = rng.choice(support.size, size=trials, p=task.p_prime.reshape(-1)[support])
+    x = _sample(task.p_prime, [trials], rng)
     z_sums = rng.integers(0, 2, size=(trials, task.n_parties)).sum(axis=1)
-    f_vals = task.f.reshape(-1)[support[x_idx]]
-    targets = f_vals * (1 - 2 * (z_sums % 2))
-    return support, x_idx, z_sums, targets, rng
+    targets = task.f.reshape(-1)[x] * (1 - 2 * (z_sums % 2))
+    return x, z_sums, targets, rng
 
 
 def _bits(flat: np.ndarray, n: int) -> np.ndarray:
@@ -234,17 +248,15 @@ def run_entangled_protocol(
     """
     s = _check_settings(task, state, settings)
     n = task.n_parties
-    support, x_idx, z_sums, targets, rng = _draw_inputs(task, trials, seed)
+    x, z_sums, targets, rng = _draw_inputs(task, trials, seed)
 
     # joint Born distribution is fixed per support point; sample per group,
     # groups in support order, trials in drawn order within a group
-    drawn, counts = np.unique(x_idx, return_counts=True)
-    groups = np.split(np.argsort(x_idx, kind="stable"), np.cumsum(counts)[:-1])
-    tables = measurement_distribution(state, s[np.arange(n), _bits(support[drawn], n)])
+    drawn, counts = np.unique(x, return_counts=True)
+    tables = measurement_distribution(state, s[np.arange(n), _bits(drawn, n)])
     outcome_idx = np.empty(trials, dtype=int)
-    for rows, probs in zip(groups, tables.reshape(drawn.size, -1)):
-        outcome_idx[rows] = rng.choice(probs.size, size=rows.size, p=probs)
-    del tables, probs  # 4 MB at N = 10
+    outcome_idx[np.argsort(x, kind="stable")] = _sample(tables, counts, rng)
+    del tables  # 4 MB at N = 10
 
     # A = prod_k y_k gamma_k with y_k = (-1)^z_k and gamma_k = (-1)^(bit k of
     # the outcome index), so A is -1 to the z sum plus the index's bit count
@@ -283,8 +295,8 @@ def run_sequential_protocol(task: TaskSpec, trials: int, seed: int) -> ProtocolR
     unitary producing the same relative phase works equally well.
     """
     _require_mod4(task)
-    support, x_idx, z_sums, targets, rng = _draw_inputs(task, trials, seed)
-    x_sums = _bit_counts(support[x_idx], task.n_parties)
+    x, z_sums, targets, rng = _draw_inputs(task, trials, seed)
+    x_sums = _bit_counts(x, task.n_parties)
     # amplitude of |1> after all hops, whose phases add up
     amp1 = np.exp(1j * (np.pi * z_sums + (np.pi / 2) * x_sums))
     p_plus = np.clip((1.0 + amp1.real) / 2.0, 0.0, 1.0)
@@ -298,14 +310,9 @@ def chsh_game_equality_frequencies(trials_per_pair: int, seed: int) -> np.ndarra
     trials_per_pair = _check_count(trials_per_pair, "trials_per_pair", 1)
     s = chsh_game_settings()
     x = _bits(np.arange(4), 2)  # the input pairs (x1, x2) in C order
-    tables = measurement_distribution(make_ghz(2), s[np.arange(2), x]).reshape(4, 4)
-    rng = np.random.default_rng(seed)
-    freq = np.empty((2, 2))
-    for (x1, x2), probs in zip(x, tables):
-        idx = rng.choice(4, size=trials_per_pair, p=probs)
-        equal = (idx == 0) | (idx == 3)
-        freq[x1, x2] = equal.mean()
-    return freq
+    tables = measurement_distribution(make_ghz(2), s[np.arange(2), x])
+    idx = _sample(tables, [trials_per_pair] * 4, np.random.default_rng(seed))
+    return ((idx == 0) | (idx == 3)).reshape(2, 2, trials_per_pair).mean(axis=2)
 
 
 def mod4_classical_bound(n: int) -> float:

@@ -14,6 +14,7 @@ from contraction_reference import (
     reference_signed_sum,
     reference_strategy_signs,
 )
+from entangled_reference import per_group_choice_protocol
 from oracles import tree_protocol_optimum
 from sequential_reference import whole_array_sequential_protocol
 
@@ -308,7 +309,7 @@ class TestEntangledProtocol:
             calls.clear()
             task = cc.make_mod4_task(n)
             cc.run_entangled_protocol(task, qs.make_ghz(n), cc.mod4_settings(n), trials, seed=3)
-            drawn = np.unique(cc._draw_inputs(task, trials, seed=3)[1]).size
+            drawn = np.unique(cc._draw_inputs(task, trials, seed=3)[0]).size
             assert calls == [(drawn, n, 3)]
 
     def test_seed_determinism(self):
@@ -407,6 +408,74 @@ class TestProtocolsMatchReference:
             assert cc.run_sequential_protocol(task, 700, seed) == expected
 
 
+class TestProtocolsMatchPerGroupChoice:
+    """The entangled protocol gives the results of one Generator.choice call
+    per drawn group, at sizes the per-support-point reference cannot reach.
+    A GHZ run with mod-4 settings scores 1 whatever is drawn, so the noisy
+    state and random settings are what make the draws visible."""
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_mod4(self, n, noisy):
+        task = cc.make_mod4_task(n)
+        state = qs.make_noisy_ghz(n, 0.6) if noisy else qs.make_ghz(n)
+        settings = np.random.default_rng(n).normal(size=(n, 2, 3))
+        settings /= np.linalg.norm(settings, axis=2, keepdims=True)
+        for sets in (cc.mod4_settings(n), settings):
+            for seed, trials in ((0, 10**5), (7, 17), (123, 1)):
+                expected = per_group_choice_protocol(task, state, sets, trials, seed)
+                assert cc.run_entangled_protocol(task, state, sets, trials, seed) == expected
+
+
+def sampler_cases():
+    """(name, (rows, K) probability tables, per-row counts) for the sampler."""
+    rng = np.random.default_rng(5)
+    random = rng.random((6, 16))
+    random /= random.sum(axis=1, keepdims=True)
+    z_axis = np.tile([0.0, 0.0, 1.0], (3, 4, 1))  # GHZ along z: exact zeros inside
+    ghz = qs.measurement_distribution(qs.make_ghz(4), z_axis).reshape(3, -1)
+    even = cc.make_mod4_task(6).p_prime.reshape(1, -1)
+    odd = np.where(even > 0, 0.0, 2.0**-5)  # zero at both ends
+    return [
+        ("random", random, [1, 7, 0, 300, 2, 33]),
+        ("ghz-zeros", ghz, [50, 1, 999]),
+        ("mod4-even", even, [4001]),
+        ("odd-promise", odd, [777]),
+        ("one-row", random[:1], [12345]),
+        ("equal-counts", random, [500] * 6),
+    ]
+
+
+class TestSample:
+    """_sample draws what consecutive per-row Generator.choice calls draw,
+    and leaves the generator where they leave it."""
+
+    @pytest.mark.parametrize("name, probs, counts", sampler_cases())
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_matches_choice(self, name, probs, counts, seed):
+        ref = np.random.default_rng(seed)
+        expected = np.concatenate(
+            [ref.choice(len(row), k, p=row) for row, k in zip(probs, counts)]
+        )
+        rng = np.random.default_rng(seed)
+        got = cc._sample(probs, counts, rng)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state  # the z draw stays aligned
+
+    @pytest.mark.parametrize("task", [cc.make_mod4_task(5), cc.make_mod4_task(6)])
+    def test_zeros_off_the_promise_draw_the_support_points(self, task):
+        # on the full p' the flat steps off the promise are never drawn, so
+        # the flat indices are those of a draw on the support alone
+        support = np.flatnonzero(task.support)
+        ref = np.random.default_rng(11)
+        expected = support[ref.choice(support.size, 5000, p=task.p_prime.flat[support])]
+        rng = np.random.default_rng(11)
+        got = cc._sample(task.p_prime, [5000], rng)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestSequentialProtocol:
     def test_deterministic_correctness(self):
         for n in range(2, 9):
@@ -482,18 +551,6 @@ class TestSequentialProtocol:
         task = cc.make_mod4_task(n)
         expected = whole_array_sequential_protocol(task, 20000, seed=100 + n)
         assert cc.run_sequential_protocol(task, 20000, seed=100 + n) == expected
-
-    def test_memory_at_ten_parties(self):
-        # the whole (trials, N) x bits and phases took 32 MiB at 10^5 trials
-        task = cc.make_mod4_task(10)
-        z_bytes = 10**5 * 10 * 8  # the drawn z bits, held for the whole run
-        tracemalloc.start()
-        try:
-            cc.run_sequential_protocol(task, 10**5, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * z_bytes
 
     def test_peak_below_one_and_a_half_z_draws(self):
         # with the z bits held for the whole run it peaked at about 1.8 draws
