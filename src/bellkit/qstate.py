@@ -16,8 +16,9 @@ import numpy as np
 # Dense 2^N amplitudes / 4^N tensor components stay small up to this cap.
 MAX_QUBITS = 10
 
-# load_state decodes a state file's "data" array in slices of about this many
-# bytes, not as one tree of lists (twice the 52 MB text at N = 10).
+# load_state reads a state file in blocks of this many bytes and decodes the
+# "data" array block by block into one array of pairs, so it holds neither the
+# file's bytes (52 MB at N = 10) nor one tree of lists for the whole array.
 _SLICE_CHARS = 1 << 20
 _SENTINEL = -1  # stands in for that array while the rest of the file decodes
 
@@ -118,8 +119,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
-        # checked before it is copied: at N = 10 the given matrix, its copy
-        # and the Cholesky buffers would otherwise be 80 MB at once
+        # A matrix that state_from_json hands over is only its own: it is
+        # checked in place and kept.  Any other is the caller's and is never
+        # written to; it is copied once it has passed every check, so that
+        # the copy never sits beside the Cholesky buffers (80 MB at N = 10).
+        owned = type(self.matrix) is _OwnedMatrix
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**n
         if mat.shape != (dim, dim):
@@ -128,9 +132,16 @@ class DensityMatrix:
         if not herm_err <= 1e-12:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_err:g}")
         _check_trace(mat)
-        _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
+        _require_positive(mat, "matrix not positive: min eigenvalue = {:g}", in_place=owned)
+        mat = mat if owned else np.array(mat)
+        mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "matrix", _read_only_copy(mat, complex))
+        object.__setattr__(self, "matrix", mat)
+
+
+class _OwnedMatrix(np.ndarray):
+    """The view type of a matrix that state_from_json, its only holder, hands
+    to DensityMatrix: validated in place and kept without a copy."""
 
 
 def _check_trace(mat: np.ndarray) -> None:
@@ -152,21 +163,28 @@ def _built_density(n: int, mat: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def _require_positive(mat: np.ndarray, message: str) -> None:
+def _require_positive(mat: np.ndarray, message: str, in_place: bool = False) -> None:
     """Raise ValueError(message.format(min_eig)) if the Hermitian matrix has
     an eigenvalue below -1e-10.
 
     A Cholesky factor of mat + 1e-10 I proves there is none, at a fraction of
     the cost of a full eigendecomposition.  Only when the factorization fails
-    is the smallest eigenvalue computed, and it decides.
+    is the smallest eigenvalue computed, and it decides.  The shift goes onto
+    a copy of mat, or with in_place onto the diagonal of mat itself, a
+    C-contiguous matrix the caller owns; that diagonal is restored bit for
+    bit from a saved copy before any eigenvalue is computed.
     """
-    shifted = mat.copy()
-    shifted.reshape(-1)[:: mat.shape[0] + 1] += 1e-10
+    shifted = mat if in_place else mat.copy()
+    diag = shifted.reshape(-1)[:: mat.shape[0] + 1]
+    saved = diag.copy()
+    diag += 1e-10
     try:
         np.linalg.cholesky(shifted)
         return
     except np.linalg.LinAlgError:
         pass
+    finally:
+        diag[:] = saved
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     if not min_eig >= -1e-10:
         raise ValueError(message.format(min_eig))
@@ -417,7 +435,9 @@ def state_from_json(obj):
     del obj, data
     if kind == "pure":
         return StateVector(n, flat)
-    return DensityMatrix(n, flat.reshape(2**n, 2**n))
+    # pairs was decoded for this call alone: DensityMatrix may validate and
+    # keep it without a copy
+    return DensityMatrix(n, flat.reshape(2**n, 2**n).view(_OwnedMatrix))
 
 
 def save_state(path, state) -> None:
@@ -435,48 +455,99 @@ def _load_json(text: str, what: str):
         raise ValueError(f"{what} document nests too deeply") from None
 
 
-def _split_document(raw: bytes):
-    """The head document and the pair arrays of a state file's bytes, or
-    None.  The "data" array is decoded in slices cut after "],"; the rest,
-    with _SENTINEL for the array, must decode to a document that holds it
-    as "data" and nowhere else.  ASCII cuts never split a UTF-8 character,
-    and JSON reads \\r as it reads \\n, so a document returned here is the
-    one the whole text decodes to."""
-    parts, end = [], raw.rfind(b"]")
+def _scan_state_file(fh):
+    """The byte offsets of a state file's "data" array body, from just past
+    the "[" that first follows the first '"data"' to the file's last "]",
+    and the number of "]," in that body; None when either bracket is
+    missing.  The file is read in _SLICE_CHARS blocks, each searched with
+    the last bytes of the block before, so a token cut between two blocks
+    is still found, and counted once."""
+    key = start = end = last_cut = -1
+    count = offset = 0
+    prev = b""
+    while block := fh.read(_SLICE_CHARS):
+        buf, base = prev + block, offset - len(prev)
+        if key < 0 and (i := buf.find(b'"data"')) >= 0:
+            key = base + i + len(b'"data"')
+        if key >= 0 and start < 0 and (i := buf.find(b"[", max(key - base, 0))) >= 0:
+            start = base + i + 1
+        if start >= 0:
+            lo = max(start - base, len(prev) - 1, 0)  # prev's earlier "]," are counted
+            count += buf.count(b"],", lo)
+            if (i := buf.rfind(b"],", lo)) >= 0:
+                last_cut = base + i
+        if (i := buf.rfind(b"]")) >= 0:
+            end = base + i
+        offset += len(block)
+        prev = buf[-5:]
+    if start < 0 or end < start:
+        return None
+    return start, end, count - (last_cut == end)  # a "]," at end is after the body
+
+
+def _stream_document(fh):
+    """The document in a state file whose "data" array decodes slice by
+    slice into one (m, 2) float array, or None.  The rest of the file, with
+    _SENTINEL for the array, must decode to a document that holds it as
+    "data" and nowhere else.  The array's body is read in _SLICE_CHARS
+    blocks; each is decoded up to its last "]," and the rest carried into
+    the next.  The pairs go into one array of m rows, counted beforehand
+    as one more than the "]," in the body; any other total is not this
+    format.  ASCII cuts never split a UTF-8 character, and JSON reads \\r
+    as it reads \\n, so a document returned here is the one the whole text
+    decodes to."""
+    scan = _scan_state_file(fh)
+    if scan is None or scan[2] >= 4**MAX_QUBITS:  # more pairs than any state has
+        return None
+    start, end, count = scan
     try:
-        start = pos = raw.index(b"[", raw.index(b'"data"')) + 1
-        while pos <= end:
-            cut = raw.find(b"],", pos + _SLICE_CHARS, end)
-            stop = end if cut < 0 else cut + 1
-            parts.append(_float_array(json.loads("[" + raw[pos:stop].decode("utf-8") + "]")))
-            if parts[-1] is None or parts[-1].shape[1:] != (2,):
+        fh.seek(0)
+        head = fh.read(start - 1)
+        fh.seek(end + 1)
+        rest = (head + b"%d" % _SENTINEL + fh.read()).decode("utf-8")
+        doc = json.loads(rest)
+        data = doc.get("data") if isinstance(doc, dict) else None
+        if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+            return None
+        fh.seek(start)
+        pairs, filled, carry, left = np.empty((count + 1, 2)), 0, b"", end - start
+        while left:
+            block = fh.read(min(_SLICE_CHARS, left))
+            if not block:  # the file was cut short since the scan
                 return None
-            pos = stop + 1
-        rest = (raw[: start - 1] + b"%d" % _SENTINEL + raw[end + 1 :]).decode("utf-8")
-        head = json.loads(rest)
+            left -= len(block)
+            buf = carry + block
+            stop = buf.rfind(b"],") + 1 if left else len(buf)
+            if not stop:
+                carry = buf
+                continue
+            rows = _float_array(json.loads("[" + buf[:stop].decode("utf-8") + "]"))
+            carry = buf[stop + 1 :]
+            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > len(pairs):
+                return None
+            pairs[filled : filled + len(rows)] = rows
+            filled += len(rows)
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
-    data = head.get("data") if isinstance(head, dict) else None
-    if not parts or type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+    if filled != len(pairs):
         return None
-    return head, parts
+    doc["data"] = _DecodedData()
+    doc["data"].pairs = pairs
+    return doc
 
 
 def _read_state_document(path):
-    """The document in a state file, its bytes dropped on return.  A file
-    that _split_document cannot read is decoded whole, to the text that
-    open(path, "r", encoding="utf-8").read() gives: strict UTF-8, whose
+    """The document in a state file, read in blocks by _stream_document.  A
+    file that it cannot read is read again and decoded whole, to the text
+    that open(path, "r", encoding="utf-8").read() gives: strict UTF-8, whose
     errors name whole-file byte positions, and universal newlines."""
     with open(path, "rb") as fh:
+        doc = _stream_document(fh)
+        if doc is not None:
+            return doc
+        fh.seek(0)
         raw = fh.read()
-    split = _split_document(raw)
-    if split is None:
-        return _load_json(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), "state")
-    del raw  # before the pairs are joined into a second copy
-    head, parts = split
-    head["data"] = _DecodedData()
-    head["data"].pairs = np.concatenate(parts)
-    return head
+    return _load_json(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), "state")
 
 
 def load_state(path):

@@ -75,6 +75,62 @@ def test_load_state_memory_peak(tmp_path):
     assert peak < 1.6 * path.stat().st_size
 
 
+def write_mixed_file(path, flat):
+    n = int(np.log2(flat.size)) // 2
+    pairs = np.stack([flat.real, flat.imag], axis=1).tolist()
+    path.write_text(json.dumps({"n_qubits": n, "kind": "mixed", "data": pairs}), encoding="utf-8")
+
+
+def test_read_state_document_memory_peak(tmp_path):
+    """The state file is read in blocks straight into one array of pairs,
+    counted beforehand, so the read holds that array and one block's
+    decoding, not the file's bytes.  At N = 8 the pairs are 1 MiB; the read
+    peaks near 1.4 times that, and held 4.3 times while the whole file was
+    read into memory."""
+    flat = random_density(8, np.random.default_rng(808)).matrix.reshape(-1)
+    path = tmp_path / "mixed.json"
+    write_mixed_file(path, flat)
+    with mock.patch.object(qs, "_SLICE_CHARS", 1 << 16):
+        tracemalloc.start()
+        try:
+            doc = qs._read_state_document(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    pairs = doc["data"].pairs
+    assert pairs.tobytes() == np.stack([flat.real, flat.imag], axis=1).tobytes()
+    assert peak < 1.6 * pairs.nbytes
+
+
+@pytest.mark.parametrize("slice_chars", [*range(1, 49), qs._SLICE_CHARS])
+def test_saved_files_are_streamed(tmp_path, slice_chars):
+    """Every file save_state writes is read block by block, never by the
+    whole-text fallback, whatever the block size: the search for "data"
+    and its "[", and the count of "],", span blocks."""
+    fallback = mock.patch.object(qs, "_load_json", side_effect=AssertionError("fell back"))
+    with fallback, mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
+        for n in range(1, 4):
+            for kind in ("pure", "mixed"):
+                state = seeded_state(n, kind)
+                path = tmp_path / f"{kind}{n}.json"
+                qs.save_state(path, state)
+                assert state_arrays(qs.load_state(path)) == state_arrays(state)
+
+
+def test_loaded_matrix_is_the_decoded_pairs(tmp_path):
+    """state_from_json validates the pairs the loader decoded in place and
+    keeps them, read-only, as the matrix: no copy is made."""
+    flat = random_density(3, np.random.default_rng(303)).matrix.reshape(-1)
+    path = tmp_path / "mixed.json"
+    write_mixed_file(path, flat)
+    doc = qs._read_state_document(path)
+    pairs = doc["data"].pairs
+    rho = qs.state_from_json(doc)
+    assert not rho.matrix.flags.writeable
+    assert np.shares_memory(rho.matrix, pairs)
+    assert rho.matrix.tobytes() == flat.tobytes()
+
+
 @pytest.mark.parametrize(
     "make_state", [lambda: qs.make_noisy_ghz(8, 0.5), lambda: qs.make_ghz(8)],
     ids=["mixed", "pure"],

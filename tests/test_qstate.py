@@ -256,6 +256,76 @@ class TestPositivity:
         qs.DensityMatrix(2, mat)
         assert mat.tobytes() == before.tobytes()
 
+    @staticmethod
+    def near_matrix(lam_min, n=3):
+        """A Hermitian unit-trace matrix whose smallest eigenvalue is about
+        lam_min."""
+        rng = np.random.default_rng(4242)
+        dim = 2**n
+        rest = rng.random(dim - 1) + 0.1
+        lam = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+        u = haar_unitary(dim, rng)
+        mat = (u * lam) @ u.conj().T
+        return (mat + mat.conj().T) / 2
+
+    @pytest.mark.parametrize("lam_min", [0.01, -2e-10])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_caller_matrix_never_written(self, lam_min, writeable, monkeypatch):
+        """DensityMatrix shifts a copy of a caller's matrix, never the matrix
+        itself, and keeps a read-only array of its own."""
+        mat = self.near_matrix(lam_min)
+        mat.setflags(write=writeable)
+        before = mat.tobytes()
+        cholesky = np.linalg.cholesky
+
+        def checked_cholesky(a):
+            assert mat.tobytes() == before and not np.shares_memory(a, mat)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", checked_cholesky)
+        if lam_min < 0:
+            with pytest.raises(ValueError, match="matrix not positive"):
+                qs.DensityMatrix(3, mat)
+        else:
+            rho = qs.DensityMatrix(3, mat)
+            assert not rho.matrix.flags.writeable
+            assert not np.shares_memory(rho.matrix, mat)
+            assert rho.matrix.tobytes() == before
+        assert mat.tobytes() == before and mat.flags.writeable == writeable
+
+    @staticmethod
+    def load_matrix(path, mat):
+        pairs = np.stack([mat.real, mat.imag], axis=-1).reshape(-1, 2).tolist()
+        path.write_text(json.dumps({"n_qubits": 3, "kind": "mixed", "data": pairs}))
+        return qs.load_state(path)
+
+    def test_loaded_matrix_rejected_as_its_copy_is(self, tmp_path):
+        """A loaded matrix is shifted in place for its Cholesky test; its
+        diagonal is restored before eigvalsh, so the smallest eigenvalue in
+        the message is the one a copy of the matrix gives."""
+        mat = self.near_matrix(-2e-10)
+        with pytest.raises(ValueError) as expected:
+            qs.DensityMatrix(3, mat.copy())
+        assert str(expected.value).startswith("matrix not positive: min eigenvalue = ")
+        with pytest.raises(ValueError) as loaded:
+            self.load_matrix(tmp_path / "mixed.json", mat)
+        assert str(loaded.value) == str(expected.value)
+
+    def test_loaded_matrix_restored_when_cholesky_fails(self, tmp_path, monkeypatch):
+        """When the factorization fails, eigvalsh decides, and an accepted
+        matrix is kept bit for bit as the file gave it.  Populations far
+        below the 1e-10 shift do not come back from subtracting it."""
+
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        tiny = np.arange(1, 8) * 1.1e-12
+        mat = np.diag(np.concatenate([[1.0 - tiny.sum()], tiny])).astype(complex)
+        assert np.any((tiny + 1e-10) - 1e-10 != tiny)
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        rho = self.load_matrix(tmp_path / "mixed.json", mat)
+        assert rho.matrix.tobytes() == mat.tobytes()
+
 
 def _outcome(build):
     """The matrix bytes of the DensityMatrix that build() returns, or the

@@ -185,6 +185,29 @@ class TestMetricOperators:
         with pytest.raises(ValueError, match="min eigenvalue -2e-10"):
             st.DenseMetric(1, np.diag([1.0, 0.5, -2e-10, 0.0]))
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_dense_metric_copies_after_its_check(self, writeable, monkeypatch):
+        """The positivity check shifts a copy of the caller's matrix; the
+        matrix itself is never written, and the metric keeps a read-only
+        copy of its own."""
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(16, 16))
+        m = g @ g.T
+        m.setflags(write=writeable)
+        before = m.tobytes()
+        cholesky = np.linalg.cholesky
+
+        def checked_cholesky(a):
+            assert m.tobytes() == before and not np.shares_memory(a, m)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", checked_cholesky)
+        metric = st.DenseMetric(2, m)
+        assert m.tobytes() == before and m.flags.writeable == writeable
+        assert not metric.matrix.flags.writeable
+        assert not np.shares_memory(metric.matrix, m)
+        assert metric.matrix.tobytes() == before
+
     def test_dimension_mismatch(self):
         metric = st.identity_proper_metric(3)
         with pytest.raises(ValueError):
