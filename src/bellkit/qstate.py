@@ -16,9 +16,11 @@ import numpy as np
 # Dense 2^N amplitudes / 4^N tensor components stay small up to this cap.
 MAX_QUBITS = 10
 
-# load_state reads a state file in blocks of this many bytes and decodes the
-# "data" array block by block into one array of pairs, so it holds neither the
-# file's bytes (52 MB at N = 10) nor one tree of lists for the whole array.
+# load_state decodes a state file's header from its first and last
+# _EDGE_BYTES, then its "data" array in blocks of _SLICE_CHARS bytes into one
+# array of pairs, so it holds neither the file's bytes (52 MB at N = 10) nor
+# one tree of lists for the whole array.
+_EDGE_BYTES = 1 << 12
 _SLICE_CHARS = 1 << 20
 _SENTINEL = -1  # stands in for that array while the rest of the file decodes
 
@@ -120,9 +122,8 @@ class DensityMatrix:
     def __post_init__(self):
         n = _check_count(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         # A matrix that state_from_json hands over is only its own: it is
-        # checked in place and kept.  Any other is the caller's and is never
-        # written to; it is copied once it has passed every check, so that
-        # the copy never sits beside the Cholesky buffers (80 MB at N = 10).
+        # checked in place and kept.  A caller's is never written to: its one
+        # copy is what the positivity check shifts and what is kept.
         owned = type(self.matrix) is _OwnedMatrix
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**n
@@ -132,16 +133,16 @@ class DensityMatrix:
         if not herm_err <= 1e-12:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_err:g}")
         _check_trace(mat)
-        _require_positive(mat, "matrix not positive: min eigenvalue = {:g}", in_place=owned)
-        mat = mat if owned else np.array(mat)
+        mat = mat if owned else np.array(mat, order="C")
+        _require_positive(mat, "matrix not positive: min eigenvalue = {:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
 
 
 class _OwnedMatrix(np.ndarray):
-    """The view type of a matrix that state_from_json, its only holder, hands
-    to DensityMatrix: validated in place and kept without a copy."""
+    """The view type of arrays that only the loader holds: the decoded pairs,
+    and the matrix DensityMatrix validates in place and keeps uncopied."""
 
 
 def _check_trace(mat: np.ndarray) -> None:
@@ -163,23 +164,22 @@ def _built_density(n: int, mat: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def _require_positive(mat: np.ndarray, message: str, in_place: bool = False) -> None:
+def _require_positive(mat: np.ndarray, message: str) -> None:
     """Raise ValueError(message.format(min_eig)) if the Hermitian matrix has
     an eigenvalue below -1e-10.
 
     A Cholesky factor of mat + 1e-10 I proves there is none, at a fraction of
     the cost of a full eigendecomposition.  Only when the factorization fails
     is the smallest eigenvalue computed, and it decides.  The shift goes onto
-    a copy of mat, or with in_place onto the diagonal of mat itself, a
-    C-contiguous matrix the caller owns; that diagonal is restored bit for
-    bit from a saved copy before any eigenvalue is computed.
+    the diagonal of mat itself, a C-contiguous matrix the caller owns; that
+    diagonal is restored bit for bit from a saved copy before any eigenvalue
+    is computed.
     """
-    shifted = mat if in_place else mat.copy()
-    diag = shifted.reshape(-1)[:: mat.shape[0] + 1]
+    diag = mat.reshape(-1)[:: mat.shape[0] + 1]
     saved = diag.copy()
     diag += 1e-10
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(mat)
         return
     except np.linalg.LinAlgError:
         pass
@@ -393,15 +393,9 @@ def _float_array(value):
         return None
 
 
-class _DecodedData(list):
-    """A "data" list that load_state decoded: its pairs, an (m, 2) float array."""
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def state_from_json(obj):
-    """Decode the JSON state format; raises ValueError naming the bad field."""
+def _state_header(obj):
+    """(n_qubits, kind, number of pairs) of a state document, or the
+    ValueError of state_from_json naming its first bad field."""
     if not isinstance(obj, dict):
         raise ValueError("state document must be a JSON object")
     for field in ("n_qubits", "kind", "data"):
@@ -411,14 +405,20 @@ def state_from_json(obj):
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError("field 'kind' must be 'pure' or 'mixed'")
+    return n, kind, 2**n if kind == "pure" else 4**n
+
+
+def state_from_json(obj):
+    """Decode the JSON state format; raises ValueError naming the bad field."""
+    n, kind, expected = _state_header(obj)
     data = obj["data"]
-    if not isinstance(data, list):
+    owned = type(data) is _OwnedMatrix  # the pairs load_state decoded
+    if not (owned or isinstance(data, list)):
         raise ValueError("field 'data' must be a list of [re, im] pairs")
-    expected = 2**n if kind == "pure" else 4**n
     if len(data) != expected:
         raise ValueError(f"field 'data' must have {expected} entries, got {len(data)}")
     bad_pair = "field 'data[{}]' must be a finite [re, im] number pair"
-    pairs = data.pairs if isinstance(data, _DecodedData) else _float_array(data)
+    pairs = data if owned else _float_array(data)
     if pairs is None or pairs.shape != (expected, 2):
         # some pair fails on its own; name the first one
         for i, pair in enumerate(data):
@@ -455,65 +455,47 @@ def _load_json(text: str, what: str):
         raise ValueError(f"{what} document nests too deeply") from None
 
 
-def _scan_state_file(fh):
-    """The byte offsets of a state file's "data" array body, from just past
-    the "[" that first follows the first '"data"' to the file's last "]",
-    and the number of "]," in that body; None when either bracket is
-    missing.  The file is read in _SLICE_CHARS blocks, each searched with
-    the last bytes of the block before, so a token cut between two blocks
-    is still found, and counted once."""
-    key = start = end = last_cut = -1
-    count = offset = 0
-    prev = b""
-    while block := fh.read(_SLICE_CHARS):
-        buf, base = prev + block, offset - len(prev)
-        if key < 0 and (i := buf.find(b'"data"')) >= 0:
-            key = base + i + len(b'"data"')
-        if key >= 0 and start < 0 and (i := buf.find(b"[", max(key - base, 0))) >= 0:
-            start = base + i + 1
-        if start >= 0:
-            lo = max(start - base, len(prev) - 1, 0)  # prev's earlier "]," are counted
-            count += buf.count(b"],", lo)
-            if (i := buf.rfind(b"],", lo)) >= 0:
-                last_cut = base + i
-        if (i := buf.rfind(b"]")) >= 0:
-            end = base + i
-        offset += len(block)
-        prev = buf[-5:]
-    if start < 0 or end < start:
-        return None
-    return start, end, count - (last_cut == end)  # a "]," at end is after the body
-
-
 def _stream_document(fh):
-    """The document in a state file whose "data" array decodes slice by
-    slice into one (m, 2) float array, or None.  The rest of the file, with
-    _SENTINEL for the array, must decode to a document that holds it as
-    "data" and nowhere else.  The array's body is read in _SLICE_CHARS
-    blocks; each is decoded up to its last "]," and the rest carried into
-    the next.  The pairs go into one array of m rows, counted beforehand
-    as one more than the "]," in the body; any other total is not this
-    format.  ASCII cuts never split a UTF-8 character, and JSON reads \\r
-    as it reads \\n, so a document returned here is the one the whole text
-    decodes to."""
-    scan = _scan_state_file(fh)
-    if scan is None or scan[2] >= 4**MAX_QUBITS:  # more pairs than any state has
+    """The document in a state file whose "data" array decodes block by
+    block, with that array as an (m, 2) _OwnedMatrix of pairs; or None.
+
+    The rest of the file is read from its first and last _EDGE_BYTES: up to
+    the "[" that first follows the first '"data"', and after the file's
+    last "]".  With _SENTINEL for the array, it must decode to a document
+    that holds it as "data" and nowhere else; _state_header gives m.  The
+    array's body is read in _SLICE_CHARS blocks; each is decoded up to its
+    last "]," and the rest carried into the next, and exactly m pairs must
+    fill the array.  A header that state_from_json rejects keeps _SENTINEL:
+    its body is decoded only so that a JSON error there still comes first.
+    A block's lists are freed before its carry is cut, or the carry would
+    sit among them and keep 4 MB of them resident at N = 10.  ASCII cuts
+    never split a UTF-8 character, and JSON reads \\r as it reads \\n, so a
+    document returned here is the one the whole text decodes to."""
+    tail_at = max(fh.seek(0, 2) - _EDGE_BYTES, 0)
+    fh.seek(0)
+    head = fh.read(_EDGE_BYTES)
+    fh.seek(tail_at)
+    tail = fh.read()
+    key, cut = head.find(b'"data"'), tail.rfind(b"]")
+    start = head.find(b"[", key) + 1 if key >= 0 else 0
+    end = tail_at + cut
+    if not start or cut < 0 or end < start:
         return None
-    start, end, count = scan
     try:
-        fh.seek(0)
-        head = fh.read(start - 1)
-        fh.seek(end + 1)
-        rest = (head + b"%d" % _SENTINEL + fh.read()).decode("utf-8")
+        rest = (head[: start - 1] + b"%d" % _SENTINEL + tail[cut + 1 :]).decode("utf-8")
         doc = json.loads(rest)
         data = doc.get("data") if isinstance(doc, dict) else None
         if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
             return None
+        try:
+            m = _state_header(doc)[2]
+        except ValueError:
+            m = 0  # the body is decoded only for its JSON errors
         fh.seek(start)
-        pairs, filled, carry, left = np.empty((count + 1, 2)), 0, b"", end - start
+        pairs, filled, carry, left = np.empty((m, 2)), 0, b"", end - start
         while left:
             block = fh.read(min(_SLICE_CHARS, left))
-            if not block:  # the file was cut short since the scan
+            if not block:  # the file ends before the size it reported
                 return None
             left -= len(block)
             buf = carry + block
@@ -523,17 +505,17 @@ def _stream_document(fh):
                 continue
             rows = _float_array(json.loads("[" + buf[:stop].decode("utf-8") + "]"))
             carry = buf[stop + 1 :]
-            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > len(pairs):
+            if not m:
+                continue
+            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > m:
                 return None
             pairs[filled : filled + len(rows)] = rows
             filled += len(rows)
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
-    if filled != len(pairs):
-        return None
-    doc["data"] = _DecodedData()
-    doc["data"].pairs = pairs
-    return doc
+    if m:
+        doc["data"] = pairs.view(_OwnedMatrix)
+    return doc if filled == m else None
 
 
 def _read_state_document(path):

@@ -102,9 +102,11 @@ class DenseMetric:
         sym_err = float(np.max(np.abs(m - m.T)))
         if not sym_err <= 1e-12:
             raise ValueError(f"metric matrix not symmetric: deviation {sym_err:g}")
+        m = np.array(m, order="C")  # the positivity check shifts this copy and keeps it
         _require_positive(m, "metric not non-negative: min eigenvalue {:g}")
+        m.setflags(write=False)
         self.n_qubits = n
-        self.matrix = _read_only_copy(m, float)
+        self.matrix = m
 
     def apply(self, flat: np.ndarray) -> np.ndarray:
         return self.matrix @ flat

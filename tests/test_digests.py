@@ -3,6 +3,9 @@
 tests/test_golden.py stops at N <= 6.  The runs here are the sizes the
 bench runs, so a change that moves their bytes fails in this suite, not
 only in a hand check.  The input files are built here from NumPy alone.
+Each group of runs has one digest, over every run in order; after each
+run the first four hex digits of the running digest are kept too, so a
+mismatch names the first run that moved.
 
 The digests were recorded on a 2-vCPU x86-64 Linux host with Python 3.11.7,
 NumPy 2.4.6 and OpenBLAS, and were the same with 1 and 2 BLAS threads.  A
@@ -11,7 +14,10 @@ host whose BLAS kernels round differently could fail them.
 
 import contextlib
 import hashlib
+import io
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +98,95 @@ def test_tensor_export_bytes_at_bench_size(tmp_path, kind, expected):
         code = cli.main(["tensor-export", "--state", str(path)])
     writer.sha.update(b"exit %d" % code)
     assert writer.sha.hexdigest() == expected
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _cli_run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}"
+
+
+def _demo_run(script):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    return out.getvalue()
+
+
+def _group(name):
+    """The runs of a group, as (label, output) callables in order."""
+    if name == "demos":
+        return [(d.name, lambda d=d: _demo_run(d)) for d in DEMOS]
+    if name == "rotational":
+        argvs = [
+            ["rotational", "--n", str(n), "--v", v, "--seed", seed]
+            for n in range(2, 11)
+            for v in ("0", "0.1", "0.3", "0.6", "1")
+            for seed in ("42", "7")
+        ]
+    elif name == "commrun":
+        mod4 = ["commrun", "--task", "mod4", "--trials", "100000"]
+        argvs = [
+            *(mod4 + ["--n", str(n), "--protocol", "classical", "ghz", "sequential",
+                      "--seed", "7"] for n in (2, 3, 5, 8, 10)),
+            *(mod4 + ["--n", str(n), "--protocol", "classical", "sequential",
+                      "--seed", "9"] for n in (12, 16, 20)),
+            ["commrun", "--task", "chsh-game", "--n", "2", "--trials", "100000",
+             "--protocol", "classical", "ghz", "sequential", "--seed", "7"],
+        ]
+    else:
+        assert name == "chsh"
+        argvs = [["chsh"], ["chsh", "--angles", "0.3", "1.9", "2.4", "-0.7"]]
+    return [(" ".join(argv), lambda argv=argv: _cli_run(argv)) for argv in argvs]
+
+
+# SHA-256 over every run of the group, and the running digest's first four
+# hex digits after each run; recorded before the state loader read its pair
+# count from the file's header
+GROUPS = {
+    "rotational": (
+        "f1c9c83a891d37300a552ead35e1eb7354a35c5048f0ebba52a4f5eeddd92c42",
+        "6761 beac c4f1 d7c4 30d9 dc68 8809 0509 75cc 11ec af78 f5cb 34ca 9a7b "
+        "819c c03f 1865 d118 2445 353a 254c 67bd c22d 182d b6fc 19d1 dfea 9b8b "
+        "faef dd02 f8d6 ab37 148f 54d4 c2de 443e dc38 f244 e75a 94f7 8fc6 b0d2 "
+        "00df ee55 aed7 e119 aecb e48f 7869 7c52 f531 73c3 4a12 e1dc be1a 6eac "
+        "4655 be73 7ba0 d4af 9680 5eae ef62 212e 7944 4735 504e db06 9abc ce66 "
+        "bf83 9fcd 0f85 514c 4748 0d49 0a10 532c d087 8d27 da31 b375 c37c 051f "
+        "00b9 5436 5b3b d324 6d88 f1c9",
+    ),
+    "commrun": (
+        "bdaeaf9142d17bec9bc7eb7c964dbfb9ba1e2e60ed88d25a9e54c9b06d99edfc",
+        "4640 2929 033c ee8b 653a fd23 6c42 ae79 bdae",
+    ),
+    "chsh": (
+        "47df07dc0c89291ed7aaf173cf10bd7dd78ea2228bfe6143e1d9a8c7b111ba04",
+        "9f90 47df",
+    ),
+    "demos": (
+        "1cdfbf9a99ab737d84ba819d50c3875088a8f9021d79d3e49f99063c9a764979",
+        "15ec a836 1a6e 1cdf",
+    ),
+}
+
+
+def _digests(runs):
+    digest, marks = hashlib.sha256(), []
+    for _, run in runs:
+        digest.update(run().encode("utf-8"))
+        marks.append(digest.hexdigest()[:4])
+    return digest.hexdigest(), " ".join(marks)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_bytes_at_bench_size(name):
+    runs = _group(name)
+    got, marks = _digests(runs)
+    expected, expected_marks = GROUPS[name]
+    moved = [label for (label, _), a, b in zip(runs, marks.split(), expected_marks.split())
+             if a != b]
+    assert got == expected, f"first run that moved: {moved[0] if moved else 'unknown'}"

@@ -83,10 +83,10 @@ def write_mixed_file(path, flat):
 
 def test_read_state_document_memory_peak(tmp_path):
     """The state file is read in blocks straight into one array of pairs,
-    counted beforehand, so the read holds that array and one block's
-    decoding, not the file's bytes.  At N = 8 the pairs are 1 MiB; the read
-    peaks near 1.4 times that, and held 4.3 times while the whole file was
-    read into memory."""
+    sized from the file's header, so the read holds that array and one
+    block's decoding, not the file's bytes.  At N = 8 the pairs are 1 MiB;
+    the read peaks near 1.4 times that, and held 4.3 times while the whole
+    file was read into memory."""
     flat = random_density(8, np.random.default_rng(808)).matrix.reshape(-1)
     path = tmp_path / "mixed.json"
     write_mixed_file(path, flat)
@@ -97,24 +97,124 @@ def test_read_state_document_memory_peak(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    pairs = doc["data"].pairs
+    pairs = doc["data"]
     assert pairs.tobytes() == np.stack([flat.real, flat.imag], axis=1).tobytes()
     assert peak < 1.6 * pairs.nbytes
 
 
+def other_layouts(state):
+    """The document of a state as bytes with sorted keys, indentation,
+    compact separators, CRLF line ends and "kind" first."""
+    doc = qs.state_to_json(state)
+    yield json.dumps(doc, sort_keys=True).encode()
+    yield json.dumps(doc, indent=2).encode()
+    yield json.dumps(doc, separators=(",", ":")).encode()
+    yield json.dumps(doc, indent=2).replace("\n", "\r\n").encode()
+    yield json.dumps({"kind": doc["kind"], **doc}).encode()
+
+
+def no_fallback():
+    return mock.patch.object(qs, "_load_json", side_effect=AssertionError("fell back"))
+
+
 @pytest.mark.parametrize("slice_chars", [*range(1, 49), qs._SLICE_CHARS])
 def test_saved_files_are_streamed(tmp_path, slice_chars):
-    """Every file save_state writes is read block by block, never by the
-    whole-text fallback, whatever the block size: the search for "data"
-    and its "[", and the count of "],", span blocks."""
-    fallback = mock.patch.object(qs, "_load_json", side_effect=AssertionError("fell back"))
-    with fallback, mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
+    """Every file save_state writes, and its document in other layouts, is
+    read block by block, never by the whole-text fallback, whatever the
+    block size: a "]," may span blocks."""
+    with no_fallback(), mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
         for n in range(1, 4):
             for kind in ("pure", "mixed"):
                 state = seeded_state(n, kind)
                 path = tmp_path / f"{kind}{n}.json"
                 qs.save_state(path, state)
-                assert state_arrays(qs.load_state(path)) == state_arrays(state)
+                for raw in [path.read_bytes(), *other_layouts(state)]:
+                    path.write_bytes(raw)
+                    assert state_arrays(qs.load_state(path)) == state_arrays(state)
+
+
+@pytest.mark.parametrize("header", [{"n_qubits": 11}, {"n_qubits": 0}, {"kind": "dense"}])
+def test_rejected_header_is_streamed(tmp_path, header):
+    """A file whose header state_from_json rejects is not read whole: its
+    body is decoded block by block and not stored, and the message is the
+    one the whole text gives.  The pairs of this N = 8 file are 1 MiB; the
+    read peaks near 0.6 MiB, one block and its decoding."""
+    flat = random_density(8, np.random.default_rng(808)).matrix.reshape(-1)
+    pairs = np.stack([flat.real, flat.imag], axis=1).tolist()
+    text = json.dumps({"n_qubits": 8, "kind": "mixed", "data": pairs, **header})
+    del pairs
+    path = tmp_path / "rejected.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        qs.state_from_json(json.loads(text))
+    del text
+    with no_fallback(), mock.patch.object(qs, "_SLICE_CHARS", 1 << 16):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as got:
+                qs.load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert str(got.value) == str(expected.value)
+    assert peak < 0.75 * 16 * 4**8
+
+
+@pytest.mark.parametrize("side", ["head", "tail"])
+def test_header_read_from_file_edges(tmp_path, side):
+    """The header is read from the file's first and last _EDGE_BYTES: a file
+    streams while the array's "[" is in the first and its "]" in the last,
+    and one more byte of another field before or after "data" sends it to
+    the whole-text fallback."""
+    state = seeded_state(2, "pure")
+    doc = qs.state_to_json(state)
+
+    def text(pad):
+        note = {"note": " " * pad}
+        return json.dumps({**note, **doc} if side == "head" else {**doc, **note})
+
+    base = text(0)
+    if side == "head":  # the "[" at the first block's last byte
+        pad = qs._EDGE_BYTES - 1 - base.find("[", base.find('"data"'))
+    else:  # the "]" at the last block's first byte
+        pad = qs._EDGE_BYTES - len(base) + base.rfind("]")
+    path = tmp_path / "state.json"
+    for extra, fell_back in [(0, False), (1, True)]:
+        path.write_text(text(pad + extra), encoding="utf-8")
+        with mock.patch.object(qs, "_load_json", wraps=qs._load_json) as whole:
+            assert state_arrays(qs.load_state(path)) == state_arrays(state)
+        assert whole.called == fell_back
+
+
+class _CutShortFile(io.BytesIO):
+    """A file that keeps only its first `keep` bytes once a read reaches
+    its end, as if it were cut short while being read.  A second read that
+    returns nothing fails the test."""
+
+    def __init__(self, raw, keep):
+        super().__init__(raw)
+        self.size, self.keep, self.empty_reads = len(raw), keep, 0
+
+    def read(self, size=-1):
+        block = super().read(size)
+        if self.tell() == self.size:
+            self.truncate(self.keep)
+        self.empty_reads += not block
+        assert self.empty_reads < 2, "read on after the file ended"
+        return block
+
+
+@pytest.mark.parametrize("slice_chars", [7, qs._SLICE_CHARS])
+def test_file_cut_short_while_read(tmp_path, slice_chars):
+    """A file that ends before the size it reported is not this format: the
+    body loop stops at the first empty read."""
+    path = tmp_path / "mixed.json"
+    qs.save_state(path, seeded_state(4, "mixed"))
+    raw = path.read_bytes()
+    assert len(raw) > 2 * qs._EDGE_BYTES
+    with mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
+        assert qs._stream_document(io.BytesIO(raw)) is not None
+        assert qs._stream_document(_CutShortFile(raw, len(raw) // 2)) is None
 
 
 def test_loaded_matrix_is_the_decoded_pairs(tmp_path):
@@ -124,7 +224,7 @@ def test_loaded_matrix_is_the_decoded_pairs(tmp_path):
     path = tmp_path / "mixed.json"
     write_mixed_file(path, flat)
     doc = qs._read_state_document(path)
-    pairs = doc["data"].pairs
+    pairs = doc["data"]
     rho = qs.state_from_json(doc)
     assert not rho.matrix.flags.writeable
     assert np.shares_memory(rho.matrix, pairs)
