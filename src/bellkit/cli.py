@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # NumPy's own error names no flag
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except qstate.NumericalIntegrityError as exc:

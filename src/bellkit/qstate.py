@@ -446,9 +446,12 @@ def save_state(path, state) -> None:
         fh.write("\n")
 
 
-def _load_json(text: str, what: str):
-    """json.loads(text), with a ValueError in place of the RecursionError of
+def _load_json(path, what: str):
+    """The JSON document in a file read whole as strict UTF-8 text with
+    universal newlines, with a ValueError in place of the RecursionError of
     a document that nests too deeply."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         return json.loads(text)
     except RecursionError:
@@ -519,17 +522,10 @@ def _stream_document(fh):
 
 
 def _read_state_document(path):
-    """The document in a state file, read in blocks by _stream_document.  A
-    file that it cannot read is read again and decoded whole, to the text
-    that open(path, "r", encoding="utf-8").read() gives: strict UTF-8, whose
-    errors name whole-file byte positions, and universal newlines."""
+    """The document in a state file: streamed, or read whole by _load_json."""
     with open(path, "rb") as fh:
         doc = _stream_document(fh)
-        if doc is not None:
-            return doc
-        fh.seek(0)
-        raw = fh.read()
-    return _load_json(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), "state")
+    return _load_json(path, "state") if doc is None else doc
 
 
 def load_state(path):

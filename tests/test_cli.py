@@ -347,17 +347,35 @@ class TestSeptest:
         assert json.loads(out)["detected"] is True
 
     def test_metric_file(self, tmp_path, capsys):
+        """A metric file is strict UTF-8 text with universal newlines, read
+        as a state file that does not stream is read."""
         state_path = tmp_path / "state.json"
         qs.save_state(state_path, qs.make_werner(0.6))
         metric_path = tmp_path / "metric.json"
-        metric_path.write_text(json.dumps(reference_metric_to_json(st.identity_proper_metric(2))))
-        code, out, _ = run_cli(
-            capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["detected"] is True
-        assert doc["norm_sq"] == pytest.approx(3 * 0.36, abs=1e-9)
+        raw = json.dumps(reference_metric_to_json(st.identity_proper_metric(2)), indent=1).encode()
+        cases = [
+            (raw, 0, ""),
+            (raw.replace(b"\n", b"\r\n"), 0, ""),
+            (b"\xef\xbb\xbf" + raw, 2,
+             "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+            (raw.replace(b"diagonal", b"diag\xffonal"), 2,
+             "error: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n"),
+            # universal newlines: the character count reads each CRLF as one
+            (raw.replace(b"\n", b"\r\n") + b"\r\nx", 2,
+             "error: Extra data: line 22 column 1 (char 153)\n"),
+        ]
+        for content, code, err in cases:
+            metric_path.write_bytes(content)
+            got = run_cli(
+                capsys, "septest", "--state", str(state_path), "--metric", str(metric_path)
+            )
+            assert (got[0], got[2]) == (code, err)
+            if code:
+                assert got[1] == ""
+                continue
+            doc = json.loads(got[1])
+            assert doc["detected"] is True
+            assert doc["norm_sq"] == pytest.approx(3 * 0.36, abs=1e-9)
 
     def test_truncated_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "state.json"

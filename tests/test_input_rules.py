@@ -92,6 +92,36 @@ def test_count_out_of_range_names_the_count(entry):
         call(bad)
 
 
+def _at_two(entry):
+    return lambda: COUNTS[entry][0](2)
+
+
+# entry point -> (a call that no valid input makes, its message); with the
+# count 2, each input in COUNTS built for the count 3 mismatches its shape
+MISFITS = {
+    "StateVector": (_at_two("StateVector"), "amplitude vector must have length 4, got 8"),
+    "DensityMatrix": (_at_two("DensityMatrix"), "matrix must be 4x4, got (8, 8)"),
+    "CorrelationTensor": (_at_two("CorrelationTensor"),
+                          "values must have shape (4, 4), got (4, 4, 4)"),
+    "TaskSpec": (_at_two("TaskSpec"), "f and p_prime must both have shape (2, 2)"),
+    "DiagonalMetric": (_at_two("DiagonalMetric"), "need 16 weights for 2 qubits, got 64"),
+    "DenseMetric": (_at_two("DenseMetric"), "metric matrix must be 16x16, got (64, 64)"),
+    "rank_one_metric": (lambda: st.rank_one_metric(ct.CorrelationTensor(2, np.zeros((4, 4)))),
+                        "direction must be non-zero"),
+    "chsh_probability_value": (
+        lambda: bc.chsh_probability_value(qs.make_werner(0.5), np.eye(3), np.eye(3)[:2]),
+        "each side needs exactly two 3-vector settings",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MISFITS))
+def test_misfit_input_is_rejected(entry):
+    call, message = MISFITS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_fractional_counts_are_not_truncated():
     with pytest.raises(ValueError, match="n_qubits"):
         st.DiagonalMetric(2.5, np.ones(32))
