@@ -86,8 +86,7 @@ def _make_task(name: str, n: int) -> commcomplex.TaskSpec:
 
 
 def cmd_commrun(args) -> int:
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
+    qstate._check_count(args.trials, "--trials", 1, MAX_TRIALS)
     if "ghz" in args.protocol and args.n > qstate.MAX_QUBITS:  # checked before any search
         raise ValueError(f"--protocol ghz needs --n at most {qstate.MAX_QUBITS}, got {args.n}")
     task = _make_task(args.task, args.n)

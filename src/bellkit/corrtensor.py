@@ -284,6 +284,14 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     )
 
 
+def _ascents(forms, seed, extra=()) -> list[MaxProductResult]:
+    """_ascend on each form from its own copy of the DEFAULT_RESTARTS starts of seed,
+    then the (N, d) rows of extra; d is the axis length, 3 on (4,)*N forms (_party_vectors)."""
+    n, d = forms[0].ndim, min(forms[0].shape[0], 3)
+    starts = [_random_starts(n, seed, DEFAULT_RESTARTS, d), np.reshape(extra, (-1, n, d))]
+    return [_ascend(w, np.concatenate(starts)) for w in forms]
+
+
 def max_product_value(
     t: CorrelationTensor, frame: LocalFrame | None = None, seed: int = 0
 ) -> MaxProductResult:
@@ -303,10 +311,8 @@ def max_product_value(
     maximum, the reported one depends on the seed.
     """
     w = t.proper if frame is None else frame_components(t, frame)
-    d = w.shape[0]
     best_idx = np.unravel_index(np.argmax(np.abs(w)), w.shape)
-    starts = _random_starts(t.n_qubits, seed, DEFAULT_RESTARTS, d)
-    res = _ascend(w, np.concatenate([starts, np.eye(d)[list(best_idx)][None]]))
+    (res,) = _ascents([w], seed, extra=np.eye(w.shape[0])[list(best_idx)])
     if frame is None:
         return res
     return replace(res, directions=np.einsum("ka,kaj->kj", res.directions, frame.axes))

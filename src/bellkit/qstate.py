@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,11 @@ class NumericalIntegrityError(ArithmeticError):
     probability or an overflow."""
 
 
-def _is_int(v) -> bool:
-    """v is an int or a NumPy integer; bool is not."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _check_count(count, name: str, lo: int, hi: int | None = None) -> int:
     """A count (of qubits, parties, terms) or an index as a Python int; a
     ValueError naming ``name`` unless it is an int or a NumPy integer (bool
     is not) in [lo, hi], or at least lo when hi is None."""
-    if not _is_int(count):
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
         raise ValueError(f"{name} must be an integer")
     if hi is None and not lo <= count:
         raise ValueError(f"{name} must be at least {lo}, got {count}")
@@ -523,6 +519,8 @@ def _stream_document(fh):
 
 def _read_state_document(path):
     """The document in a state file: streamed, or read whole by _load_json."""
+    if not os.path.isfile(path):  # a pipe cannot seek, and a FIFO's data goes to its first open
+        return _load_json(path, "state")
     with open(path, "rb") as fh:
         doc = _stream_document(fh)
     return _load_json(path, "state") if doc is None else doc

@@ -16,10 +16,8 @@ from functools import reduce
 import numpy as np
 
 from .corrtensor import (
-    DEFAULT_RESTARTS,
     CorrelationTensor,
-    _ascend,
-    _random_starts,
+    _ascents,
     compute_tensor,
     max_product_value,
     tensor_dot,
@@ -166,9 +164,7 @@ def identifier_check(
         raise NumericalIntegrityError(
             f"identifier overflows: <t, G t> = {rhs!r}, |G t|^2 = {w_sq!r}"
         )
-    starts = _random_starts(t.n_qubits, seed, DEFAULT_RESTARTS)
-    hi = _ascend(w, starts.copy())
-    lo = _ascend(-w, starts)
+    hi, lo = _ascents([w, -w], seed)
     lhs_max = max(hi.value, lo.value)
     converged = hi.converged and lo.converged
     return IdentifierReport(

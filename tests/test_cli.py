@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import contextlib
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -542,6 +546,66 @@ class TestTensorExport:
         assert code == 2
         assert out == ""
         assert err == "error: trace must be 1, got (0.9999999999989999-1.5811045672737672e-17j)\n"
+
+    @staticmethod
+    def _saved_state(tmp_path):
+        """A mixed state file and its bytes."""
+        path = tmp_path / "state.json"
+        qs.save_state(path, qs.make_noisy_ghz(3, 0.6))
+        return path, path.read_bytes()
+
+    def test_state_read_from_a_pipe(self, tmp_path, capsys):
+        path, data = self._saved_state(tmp_path)
+        expected = run_cli(capsys, "tensor-export", "--state", str(path))
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(write_fd, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = run_cli(capsys, "tensor-export", "--state", f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)  # a writer still blocked gets EPIPE
+            writer.join(10)
+        assert not writer.is_alive()
+        assert expected[0] == 0
+        assert got == expected
+
+    def test_state_read_from_a_named_fifo(self, tmp_path):
+        path, data = self._saved_state(tmp_path)
+        fifo = tmp_path / "state.fifo"
+        os.mkfifo(fifo)
+        deadline = time.monotonic() + 20
+
+        def feed():
+            # one writer only: a reader that opens the FIFO twice waits on
+            # its second open until the subprocess timeout
+            while time.monotonic() < deadline:
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO:  # ENXIO: no reader yet
+                        raise
+                    time.sleep(0.01)
+                    continue
+                os.set_blocking(fd, True)
+                with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+                    fh.write(data)
+                return
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = run_process("tensor-export", "--state", str(fifo))
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        expected = run_process("tensor-export", "--state", str(path))
+        assert expected.returncode == 0
+        assert (got.returncode, got.stdout, got.stderr) == (0, expected.stdout, "")
 
 
 class TestOverflowingState:

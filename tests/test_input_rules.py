@@ -68,7 +68,7 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("count", [2.5, 3.0, True, np.True_, "3"], ids=repr)
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_count_must_be_an_integer(entry, count):
     call, name, _ = COUNTS[entry]
