@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: thresholds, chsh, rotational, commrun, septest, tensor-export.
-Exit codes: 0 success, 2 usage or input error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 usage or input error, 3 numerical non-convergence,
+141 stdout closed by its reader before the output was written.
 Randomized subcommands default to seed 42 and record the seed in their
 output, so identical invocations produce byte-identical files.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -24,6 +26,7 @@ DEFAULT_SEED = 42
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process the signal ends
 
 # at this many trials a cold sequential run at N = 20 peaks near 237 MB (ru_maxrss)
 MAX_TRIALS = 10**6
@@ -68,6 +71,7 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_rotational(args) -> int:
+    qstate._check_count(args.n, "--n", 2, qstate.MAX_QUBITS)
     tensor = corrtensor.compute_tensor(qstate.make_noisy_ghz(args.n, args.v))
     frame = corrtensor.xy_frame(args.n)
     report = bellcheck.rotational_test(tensor, frame, seed=args.seed)
@@ -89,6 +93,7 @@ def cmd_commrun(args) -> int:
     qstate._check_count(args.trials, "--trials", 1, MAX_TRIALS)
     if "ghz" in args.protocol and args.n > qstate.MAX_QUBITS:  # checked before any search
         raise ValueError(f"--protocol ghz needs --n at most {qstate.MAX_QUBITS}, got {args.n}")
+    qstate._check_count(args.n, "--n", 2)
     task = _make_task(args.task, args.n)
     bound = commcomplex.classical_optimum(task).f_star
     records = []
@@ -238,7 +243,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # NumPy's own error names no flag
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe fails this, not the exit's flush
+        return code
+    except BrokenPipeError:  # the exit's flush writes what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

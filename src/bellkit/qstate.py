@@ -7,9 +7,11 @@ Pauli index convention: 0 = identity, 1/2/3 = x/y/z.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +19,10 @@ import numpy as np
 # Dense 2^N amplitudes / 4^N tensor components stay small up to this cap.
 MAX_QUBITS = 10
 
-# load_state decodes a state file's header from its first and last
-# _EDGE_BYTES, then its "data" array in blocks of _SLICE_CHARS bytes into one
-# array of pairs, so it holds neither the file's bytes (52 MB at N = 10) nor
-# one tree of lists for the whole array.
-_EDGE_BYTES = 1 << 12
+# load_state reads a state file forward in blocks of _SLICE_CHARS bytes and
+# decodes its "data" array block by block into one array of pairs, so it
+# holds neither the file's bytes (52 MB at N = 10) nor one tree of lists for
+# the whole array.
 _SLICE_CHARS = 1 << 20
 _SENTINEL = -1  # stands in for that array while the rest of the file decodes
 
@@ -455,73 +456,86 @@ def _load_json(path, what: str):
 
 
 def _stream_document(fh):
-    """The document in a state file whose "data" array decodes block by
-    block, with that array as an (m, 2) _OwnedMatrix of pairs; or None.
+    """The document in a state file read forward in _SLICE_CHARS blocks, with
+    its "data" array as an (m, 2) _OwnedMatrix of pairs; or None.
 
-    The rest of the file is read from its first and last _EDGE_BYTES: up to
-    the "[" that first follows the first '"data"', and after the file's
-    last "]".  With _SENTINEL for the array, it must decode to a document
-    that holds it as "data" and nowhere else; _state_header gives m.  The
-    array's body is read in _SLICE_CHARS blocks; each is decoded up to its
-    last "]," and the rest carried into the next, and exactly m pairs must
-    fill the array.  A header that state_from_json rejects keeps _SENTINEL:
-    its body is decoded only so that a JSON error there still comes first.
-    A block's lists are freed before its carry is cut, or the carry would
-    sit among them and keep 4 MB of them resident at N = 10.  ASCII cuts
-    never split a UTF-8 character, and JSON reads \\r as it reads \\n, so a
+    The head runs up to the "[" after the first '"data"'.  The body is
+    decoded up to each block's last "]," and the rest carried into the next
+    block, until the list a piece is decoded in closes before its last "]",
+    at the array's own "]".  The pairs fill one array grown to powers of
+    two, as every count a header accepts is.  Head, _SENTINEL and tail must
+    decode to a document that holds _SENTINEL as "data" and nowhere else,
+    and the m pairs of its header must fill the array.  A header that
+    state_from_json rejects keeps _SENTINEL; if the head already holds one,
+    no pair is stored.  A block's lists are freed before its carry is cut,
+    and the next block is read before the last is freed: the other orders
+    keep 4 MB and 2.5 MB of heap resident at N = 10.  ASCII cuts never split
+    a UTF-8 character, pairs are ASCII, and JSON reads \\r as \\n, so a
     document returned here is the one the whole text decodes to."""
-    tail_at = max(fh.seek(0, 2) - _EDGE_BYTES, 0)
-    fh.seek(0)
-    head = fh.read(_EDGE_BYTES)
-    fh.seek(tail_at)
-    tail = fh.read()
-    key, cut = head.find(b'"data"'), tail.rfind(b"]")
-    start = head.find(b"[", key) + 1 if key >= 0 else 0
-    end = tail_at + cut
-    if not start or cut < 0 or end < start:
-        return None
-    try:
-        rest = (head[: start - 1] + b"%d" % _SENTINEL + tail[cut + 1 :]).decode("utf-8")
-        doc = json.loads(rest)
-        data = doc.get("data") if isinstance(doc, dict) else None
-        if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+    head, start = b"", 0
+    while not start:
+        block = fh.read(_SLICE_CHARS)
+        if not block:
             return None
-        try:
-            m = _state_header(doc)[2]
-        except ValueError:
-            m = 0  # the body is decoded only for its JSON errors
-        fh.seek(start)
-        pairs, filled, carry, left = np.empty((m, 2)), 0, b"", end - start
-        while left:
-            block = fh.read(min(_SLICE_CHARS, left))
-            if not block:  # the file ends before the size it reported
+        head += block
+        key = head.find(b'"data"')
+        start = head.find(b"[", key) + 1 if key >= 0 else 0
+    block = head[start:] or fh.read(_SLICE_CHARS)
+    head, rejected = head[: start - 1], False
+    with contextlib.suppress(ValueError, RecursionError):  # a text ending in "}" is an object
+        first = json.loads(head.decode("utf-8") + "%d}" % _SENTINEL)
+        rejected = {"n_qubits", "kind"} <= first.keys()
+        _state_header(first)
+        rejected = False
+    pairs, filled, carry, decode = np.empty((0, 2)), 0, b"", json.JSONDecoder().raw_decode
+    while True:
+        buf = carry + block
+        stop = buf.rfind(b"],") + 1 if block else len(buf)
+        if stop:
+            try:  # UnicodeDecodeError is a ValueError
+                rows, at = decode("[" + buf[:stop].decode("utf-8") + "]")
+            except (ValueError, RecursionError):
                 return None
-            left -= len(block)
-            buf = carry + block
-            stop = buf.rfind(b"],") + 1 if left else len(buf)
-            if not stop:
-                carry = buf
-                continue
-            rows = _float_array(json.loads("[" + buf[:stop].decode("utf-8") + "]"))
-            carry = buf[stop + 1 :]
-            if not m:
-                continue
-            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > m:
+            rows = _float_array(rows)  # frees the lists
+            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > 4**MAX_QUBITS:
                 return None
-            pairs[filled : filled + len(rows)] = rows
-            filled += len(rows)
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+            if not rejected:
+                filled += len(rows)
+                if filled > len(pairs):
+                    pairs.resize((1 << (filled - 1).bit_length(), 2), refcheck=False)
+                pairs[filled - len(rows) : filled] = rows
+            del rows  # freed before the next read, or it can pin 3.5 MB of freed heap
+            if at < stop + 2:  # the list closed early, at the array's own "]"
+                break
+        if not block:
+            return None
+        carry = buf[stop + 1 :] if stop else buf
+        block = fh.read(_SLICE_CHARS)
+    try:
+        rest = (head + b"%d" % _SENTINEL + buf[at - 1 :] + fh.read()).decode("utf-8")
+        del block, buf, carry  # a long tail decodes without the last block beside it
+        doc = json.loads(rest)
+    except (ValueError, RecursionError):
         return None
-    if m:
+    data = doc.get("data") if isinstance(doc, dict) else None
+    if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+        return None
+    with contextlib.suppress(ValueError):  # state_from_json rejects this header before "data"
+        if not filled == len(pairs) == _state_header(doc)[2]:
+            return None
         doc["data"] = pairs.view(_OwnedMatrix)
-    return doc if filled == m else None
+    return doc
 
 
 def _read_state_document(path):
-    """The document in a state file: streamed, or read whole by _load_json."""
-    if not os.path.isfile(path):  # a pipe cannot seek, and a FIFO's data goes to its first open
-        return _load_json(path, "state")
+    """The document in a state file: streamed, or read whole by _load_json.  A
+    pipe or a FIFO is opened once and spilled to a temporary file first."""
     with open(path, "rb") as fh:
+        if not fh.seekable():
+            with tempfile.NamedTemporaryFile() as spill:
+                shutil.copyfileobj(fh, spill)
+                spill.flush()
+                return _read_state_document(spill.name)
         doc = _stream_document(fh)
     return _load_json(path, "state") if doc is None else doc
 

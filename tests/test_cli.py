@@ -20,6 +20,7 @@ from bellkit import corrtensor as ct
 from bellkit import qstate as qs
 from bellkit import septest as st
 from io_reference import reference_metric_to_json
+from sources import unseekable
 
 
 def run_cli(capsys, *args):
@@ -28,16 +29,21 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_process(*args):
-    """Run ``python -m bellkit`` on args in a fresh interpreter."""
+def process_env():
+    """The environment of a fresh interpreter that imports this bellkit."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_process(*args):
+    """Run ``python -m bellkit`` on args in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "bellkit", *args],
-        env=env,
+        env=process_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -607,6 +613,62 @@ class TestTensorExport:
         assert expected.returncode == 0
         assert (got.returncode, got.stdout, got.stderr) == (0, expected.stdout, "")
 
+    @pytest.mark.parametrize("source", ["pipe", "fifo"])
+    @pytest.mark.parametrize(
+        "flaw",
+        [lambda raw: raw[:-3] + b",]}\n", lambda raw: b"\xef\xbb\xbf" + raw,
+         lambda raw: raw.replace(b"], [", b"], \xff[", 1)],
+        ids=["trailing comma", "BOM", "non-UTF-8 byte"],
+    )
+    def test_flawed_file_fails_as_it_does_from_disk(self, tmp_path, capsys, source, flaw):
+        """A source that cannot seek is spilled to a temporary file, so its
+        error names the same position as the file's own."""
+        path, data = self._saved_state(tmp_path)
+        path.write_bytes(flaw(data))
+        expected = run_cli(capsys, "tensor-export", "--state", str(path))
+        with unseekable(source, flaw(data), tmp_path) as fed:
+            got = run_cli(capsys, "tensor-export", "--state", fed)
+        assert expected[:2] == (2, "")
+        assert got == expected
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early is not an input error: the run ends
+    with EXIT_BROKEN_PIPE and writes nothing to stderr, whether stdout is
+    buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_export_read_up_to_its_first_line(self, tmp_path, unbuffered):
+        path = tmp_path / "ghz.json"
+        qs.save_state(path, qs.make_ghz(8))
+        with subprocess.Popen(
+            [sys.executable, "-m", "bellkit", "tensor-export", "--state", str(path)],
+            env={**process_env(), "PYTHONUNBUFFERED": unbuffered},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"j1,j2,j3,j4,j5,j6,j7,j8,value\r\n"
+            proc.stdout.close()
+            code = proc.wait(60)
+            err = proc.stderr.read()
+        assert (code, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_rotational_into_a_pipe_closed_before_the_start(self, unbuffered):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellkit", "rotational", "--n", "3", "--v", "0.5"],
+                env={**process_env(), "PYTHONUNBUFFERED": unbuffered},
+                stdout=write_fd,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_fd)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
 
 class TestOverflowingState:
     def test_scaled_pure_state_exits_2_with_one_error_line(self, tmp_path):
@@ -658,6 +720,15 @@ class TestUsage:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("rotational", "--n", "0", "--v", "0.5"), "--n must be in [2, 10], got 0"),
+         (("commrun", "--n", "1", "--protocol", "classical"), "--n must be at least 2, got 1")],
+        ids=["rotational", "commrun"],
+    )
+    def test_party_count_out_of_range_exits_2_naming_the_flag(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2

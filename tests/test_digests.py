@@ -118,11 +118,85 @@ def _demo_run(script):
     return out.getvalue()
 
 
-def _group(name):
-    """The runs of a group, as (label, output) callables in order."""
+def rotated_noisy_ghz(n, v, rng):
+    """bench/jobs.py's septest input: v |GHZ><GHZ| + (1 - v) I / 2^n under
+    random local unitaries, flattened."""
+    d = 2**n
+    ghz = np.zeros(d, dtype=complex)
+    ghz[0] = ghz[-1] = 2**-0.5
+    rho = v * np.outer(ghz, ghz.conj()) + (1 - v) / d * np.eye(d)
+    u = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = np.kron(u, q * (np.diag(r) / np.abs(np.diag(r))))
+    rho = u @ rho @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return (rho / np.trace(rho).real).reshape(-1)
+
+
+def separable_flat(n, terms, rng):
+    """A mixture of pure product states (I + b . sigma) / 2 per qubit with
+    Bloch vectors b uniform on the sphere, flattened."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        term = np.ones((1, 1), dtype=complex)
+        for x, y, z in rng.normal(size=(n, 3)) / np.sqrt(3):
+            b = np.array([x, y, z]) / np.linalg.norm([x, y, z])
+            qubit = 0.5 * np.array([[1 + b[2], b[0] - 1j * b[1]], [b[0] + 1j * b[1], 1 - b[2]]])
+            term = np.kron(term, qubit)
+        rho += w * term
+    return (rho / np.trace(rho).real).reshape(-1)
+
+
+def write_sparse_state_file(path, n, flat):
+    """write_state_file's mixed file for numbers whose zeros are all +0.0,
+    formatted only where they are not zero (1048576 pairs at N = 10)."""
+    cells = np.full(flat.size, "[0.0, 0.0]", dtype=object)
+    at = np.flatnonzero(flat)
+    cells[at] = ["[%r, %r]" % (z.real, z.imag) for z in flat[at].tolist()]
+    doc = json.dumps({"n_qubits": n, "kind": "mixed", "data": []})
+    path.write_text(doc[:-2] + ", ".join(cells.tolist()) + "]}\n", encoding="utf-8")
+
+
+def septest_argvs(workdir):
+    """Write the septest group's state and metric files; its argument lists."""
+    rng = np.random.default_rng(1200)
+    ghz10 = 0.5 / 2**10 * np.eye(2**10, dtype=complex)
+    ghz10[::2**10 - 1, ::2**10 - 1] += 0.25  # v = 1/2: the four corners
+    write_sparse_state_file(workdir / "ghz10.json", 10, ghz10.reshape(-1))
+    states = {
+        "rotated8": (8, rotated_noisy_ghz(8, 0.6, rng)),
+        "separable6": (6, separable_flat(6, 5, rng)),
+        "rotated4": (4, rotated_noisy_ghz(4, 0.8, rng)),
+    }
+    for name, (n, flat) in states.items():
+        write_state_file(workdir / f"{name}.json", "mixed", n, flat)
+    direction = rng.normal(size=4**4)
+    direction /= np.linalg.norm(direction)
+    metrics = {
+        "diagonal6": {"kind": "diagonal", "weights": rng.uniform(0.0, 2.0, 4**6).tolist()},
+        "dense4": {"kind": "dense", "matrix": np.outer(direction, direction).tolist()},
+    }
+    for name, doc in metrics.items():
+        (workdir / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    runs = [("rotated8", None), ("ghz10", None), ("separable6", None),
+            ("separable6", "diagonal6"), ("rotated4", "dense4")]
+    return [
+        ["septest", "--state", str(workdir / f"{state}.json"), "--seed", seed]
+        + (["--metric", str(workdir / f"{metric}.json")] if metric else [])
+        for state, metric in runs
+        for seed in ("42", "7")
+    ]
+
+
+def _group(name, workdir):
+    """The runs of a group, as (label, output) callables in order; input
+    files go to workdir."""
     if name == "demos":
         return [(d.name, lambda d=d: _demo_run(d)) for d in DEMOS]
-    if name == "rotational":
+    if name == "septest":
+        argvs = septest_argvs(workdir)
+    elif name == "rotational":
         argvs = [
             ["rotational", "--n", str(n), "--v", v, "--seed", seed]
             for n in range(2, 11)
@@ -167,6 +241,11 @@ GROUPS = {
         "47df07dc0c89291ed7aaf173cf10bd7dd78ea2228bfe6143e1d9a8c7b111ba04",
         "9f90 47df",
     ),
+    # recorded while the loader still sought the "data" array's edges
+    "septest": (
+        "73ac73f6725271a8086e9744beac7ca7777475d78c80b25bb31f8fbf7e6faa87",
+        "8fc4 2d55 7b25 d4de a612 7c8f b418 883e 59ea 73ac",
+    ),
     "demos": (
         "1cdfbf9a99ab737d84ba819d50c3875088a8f9021d79d3e49f99063c9a764979",
         "15ec a836 1a6e 1cdf",
@@ -183,8 +262,8 @@ def _digests(runs):
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-def test_group_bytes_at_bench_size(name):
-    runs = _group(name)
+def test_group_bytes_at_bench_size(name, tmp_path):
+    runs = _group(name, tmp_path)
     got, marks = _digests(runs)
     expected, expected_marks = GROUPS[name]
     moved = [label for (label, _), a, b in zip(runs, marks.split(), expected_marks.split())

@@ -1,5 +1,6 @@
 """Whole-array state, metric and tensor codecs against the per-entry references."""
 
+import contextlib
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from io_reference import (
     reference_tensor_to_csv,
 )
 from oracles import random_density
+from sources import unseekable
 
 
 def seeded_state(n, kind):
@@ -81,16 +83,20 @@ def write_mixed_file(path, flat):
     path.write_text(json.dumps({"n_qubits": n, "kind": "mixed", "data": pairs}), encoding="utf-8")
 
 
-def test_read_state_document_memory_peak(tmp_path):
-    """The state file is read in blocks straight into one array of pairs,
-    sized from the file's header, so the read holds that array and one
-    block's decoding, not the file's bytes.  At N = 8 the pairs are 1 MiB;
-    the read peaks near 1.4 times that, and held 4.3 times while the whole
-    file was read into memory."""
+def read_within_pairs_bound(tmp_path, source):
+    """Read an N = 8 mixed file, as saved, with sorted keys or through a
+    pipe, in 64 KiB blocks and with no fallback; check the pairs and hold
+    the read's tracemalloc peak to 1.6 times their bytes."""
     flat = random_density(8, np.random.default_rng(808)).matrix.reshape(-1)
     path = tmp_path / "mixed.json"
     write_mixed_file(path, flat)
-    with mock.patch.object(qs, "_SLICE_CHARS", 1 << 16):
+    if source == "sorted keys":
+        path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
+    with contextlib.ExitStack() as stack:
+        if source == "pipe":
+            path = stack.enter_context(unseekable("pipe", path.read_bytes(), tmp_path))
+        stack.enter_context(no_fallback())
+        stack.enter_context(mock.patch.object(qs, "_SLICE_CHARS", 1 << 16))
         tracemalloc.start()
         try:
             doc = qs._read_state_document(path)
@@ -102,16 +108,31 @@ def test_read_state_document_memory_peak(tmp_path):
     assert peak < 1.6 * pairs.nbytes
 
 
+def test_read_state_document_memory_peak(tmp_path):
+    """The state file is read in blocks straight into one array of pairs,
+    grown by doubling, so the read holds that array and one block's
+    decoding, not the file's bytes.  At N = 8 the pairs are 1 MiB; the read
+    peaks near 1.4 times that, and held 4.3 times while the whole file was
+    read into memory."""
+    read_within_pairs_bound(tmp_path, "saved")
+
+
+@pytest.mark.parametrize("source", ["sorted keys", "pipe"])
+def test_read_state_document_memory_peak_of_any_source(tmp_path, source):
+    """The same bound holds with "data" first, and for a pipe, which is
+    spilled to a temporary file and then read the same way."""
+    read_within_pairs_bound(tmp_path, source)
+
+
 def test_whole_text_read_memory_peak(tmp_path):
-    """A file with more than _EDGE_BYTES of another field before "data" does
-    not stream: _load_json reads it whole, once, as text, and the file's
-    bytes are freed before the text is parsed.  This N = 8 file is 3.3 MB;
-    the read peaks near 3.9 times that, and at 4.9 times while the bytes
-    were held."""
+    """A file whose first '"data"' is not the state's does not stream:
+    _load_json reads it whole, once, as text, and the file's bytes are freed
+    before the text is parsed.  This N = 8 file is 3.3 MB; the read peaks
+    near 3.9 times that, and at 4.9 times while the bytes were held."""
     flat = random_density(8, np.random.default_rng(808)).matrix.reshape(-1)
     pairs = np.stack([flat.real, flat.imag], axis=1)
     path = tmp_path / "mixed.json"
-    doc = {"note": " " * 5000, "n_qubits": 8, "kind": "mixed", "data": pairs.tolist()}
+    doc = {"meta": {"data": [[1, 0]]}, "n_qubits": 8, "kind": "mixed", "data": pairs.tolist()}
     path.write_text(json.dumps(doc), encoding="utf-8")
     del doc
     with mock.patch.object(qs, "_load_json", wraps=qs._load_json) as whole:
@@ -184,61 +205,56 @@ def test_rejected_header_is_streamed(tmp_path, header):
     assert peak < 0.75 * 16 * 4**8
 
 
+@pytest.mark.parametrize("pad", [0, 4096, 5000])
 @pytest.mark.parametrize("side", ["head", "tail"])
-def test_header_read_from_file_edges(tmp_path, side):
-    """The header is read from the file's first and last _EDGE_BYTES: a file
-    streams while the array's "[" is in the first and its "]" in the last,
-    and one more byte of another field before or after "data" sends it to
-    the whole-text fallback."""
-    state = seeded_state(2, "pure")
-    doc = qs.state_to_json(state)
-
-    def text(pad):
-        note = {"note": " " * pad}
-        return json.dumps({**note, **doc} if side == "head" else {**doc, **note})
-
-    base = text(0)
-    if side == "head":  # the "[" at the first block's last byte
-        pad = qs._EDGE_BYTES - 1 - base.find("[", base.find('"data"'))
-    else:  # the "]" at the last block's first byte
-        pad = qs._EDGE_BYTES - len(base) + base.rfind("]")
+def test_long_fields_are_streamed(tmp_path, side, pad):
+    """A field of any length before or after "data" does not send the file
+    to the whole-text fallback: the file is read forward, not from its
+    edges, and the head and the tail may span blocks."""
+    state = seeded_state(4, "mixed")
+    doc, note = qs.state_to_json(state), {"note": " " * pad}
     path = tmp_path / "state.json"
-    for extra, fell_back in [(0, False), (1, True)]:
-        path.write_text(text(pad + extra), encoding="utf-8")
-        with mock.patch.object(qs, "_load_json", wraps=qs._load_json) as whole:
-            assert state_arrays(qs.load_state(path)) == state_arrays(state)
-        assert whole.called == fell_back
+    path.write_text(json.dumps({**note, **doc} if side == "head" else {**doc, **note}))
+    with no_fallback(), mock.patch.object(qs, "_SLICE_CHARS", 1 << 10):
+        assert state_arrays(qs.load_state(path)) == state_arrays(state)
 
 
-class _CutShortFile(io.BytesIO):
-    """A file that keeps only its first `keep` bytes once a read reaches
-    its end, as if it were cut short while being read.  A second read that
-    returns nothing fails the test."""
+class _EndingFile(io.BytesIO):
+    """A file that fails the test if it is read on after a read that
+    returned nothing."""
 
-    def __init__(self, raw, keep):
-        super().__init__(raw)
-        self.size, self.keep, self.empty_reads = len(raw), keep, 0
+    empty_reads = 0
 
     def read(self, size=-1):
+        assert self.empty_reads == 0, "read on after the file ended"
         block = super().read(size)
-        if self.tell() == self.size:
-            self.truncate(self.keep)
         self.empty_reads += not block
-        assert self.empty_reads < 2, "read on after the file ended"
         return block
 
 
 @pytest.mark.parametrize("slice_chars", [7, qs._SLICE_CHARS])
 def test_file_cut_short_while_read(tmp_path, slice_chars):
-    """A file that ends before the size it reported is not this format: the
-    body loop stops at the first empty read."""
+    """A file that ends inside the "data" array is not this format: the read
+    stops at the first empty read."""
     path = tmp_path / "mixed.json"
     qs.save_state(path, seeded_state(4, "mixed"))
     raw = path.read_bytes()
-    assert len(raw) > 2 * qs._EDGE_BYTES
+    short = _EndingFile(raw[: len(raw) // 2])
     with mock.patch.object(qs, "_SLICE_CHARS", slice_chars):
         assert qs._stream_document(io.BytesIO(raw)) is not None
-        assert qs._stream_document(_CutShortFile(raw, len(raw) // 2)) is None
+        assert qs._stream_document(short) is None
+    assert short.empty_reads == 1
+
+
+def test_pairs_beyond_the_largest_count_stop_the_read():
+    """The pairs array grows only up to 4^MAX_QUBITS rows, the largest count
+    a header accepts: the read gives up at the first block past it, long
+    before the file's end, and leaves the message to the fallback."""
+    raw = json.dumps({"n_qubits": 1, "kind": "mixed", "data": [[0.25, 0]] * 64}).encode()
+    source = io.BytesIO(raw)
+    with mock.patch.object(qs, "MAX_QUBITS", 1), mock.patch.object(qs, "_SLICE_CHARS", 16):
+        assert qs._stream_document(source) is None
+    assert source.tell() < len(raw) // 2
 
 
 def test_loaded_matrix_is_the_decoded_pairs(tmp_path):
