@@ -7,7 +7,6 @@ Pauli index convention: 0 = identity, 1/2/3 = x/y/z.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import shutil
@@ -24,7 +23,7 @@ MAX_QUBITS = 10
 # holds neither the file's bytes (52 MB at N = 10) nor one tree of lists for
 # the whole array.
 _SLICE_CHARS = 1 << 20
-_SENTINEL = -1  # stands in for that array while the rest of the file decodes
+_SENTINEL = '"\\u0000"'  # the string "\x00": it stands in for that array while the rest decodes
 
 # Single-qubit Pauli operators, indexed 0..3 (identity, x, y, z).
 PAULI = np.array(
@@ -390,9 +389,8 @@ def _float_array(value):
         return None
 
 
-def _state_header(obj):
-    """(n_qubits, kind, number of pairs) of a state document, or the
-    ValueError of state_from_json naming its first bad field."""
+def state_from_json(obj):
+    """Decode the JSON state format; raises ValueError naming the bad field."""
     if not isinstance(obj, dict):
         raise ValueError("state document must be a JSON object")
     for field in ("n_qubits", "kind", "data"):
@@ -402,12 +400,7 @@ def _state_header(obj):
     kind = obj["kind"]
     if kind not in ("pure", "mixed"):
         raise ValueError("field 'kind' must be 'pure' or 'mixed'")
-    return n, kind, 2**n if kind == "pure" else 4**n
-
-
-def state_from_json(obj):
-    """Decode the JSON state format; raises ValueError naming the bad field."""
-    n, kind, expected = _state_header(obj)
+    expected = 2**n if kind == "pure" else 4**n
     data = obj["data"]
     owned = type(data) is _OwnedMatrix  # the pairs load_state decoded
     if not (owned or isinstance(data, list)):
@@ -459,34 +452,32 @@ def _stream_document(fh):
     """The document in a state file read forward in _SLICE_CHARS blocks, with
     its "data" array as an (m, 2) _OwnedMatrix of pairs; or None.
 
-    The head runs up to the "[" after the first '"data"'.  The body is
-    decoded up to each block's last "]," and the rest carried into the next
-    block, until the list a piece is decoded in closes before its last "]",
-    at the array's own "]".  The pairs fill one array grown to powers of
-    two, as every count a header accepts is.  Head, _SENTINEL and tail must
-    decode to a document that holds _SENTINEL as "data" and nowhere else,
-    and the m pairs of its header must fill the array.  A header that
-    state_from_json rejects keeps _SENTINEL; if the head already holds one,
-    no pair is stored.  A block's lists are freed before its carry is cut,
-    and the next block is read before the last is freed: the other orders
-    keep 4 MB and 2.5 MB of heap resident at N = 10.  ASCII cuts never split
-    a UTF-8 character, pairs are ASCII, and JSON reads \\r as \\n, so a
-    document returned here is the one the whole text decodes to."""
-    head, start = b"", 0
+    The head runs up to the "[" after the first '"data"', searched for in
+    each new block only.  The body is decoded up to each block's last "],"
+    and the rest carried into the next block, until the list a piece is
+    decoded in closes before its last "]", at the array's own "]".  Pairs
+    fill one array grown to powers of two up to 4^MAX_QUBITS, the largest
+    count a header accepts; past it they are only counted, and the count is
+    handed over as a zero-stride view of that length.  Head, _SENTINEL and
+    tail must decode to a document that holds _SENTINEL as "data" and
+    nowhere else.  Every header and count rule is left to state_from_json.
+    A block's lists are freed before its carry is cut, and the next block is
+    read before the last is freed: the other orders keep 4 MB and 2.5 MB of
+    heap resident at N = 10.  ASCII cuts never split a UTF-8 character,
+    pairs are ASCII, and JSON reads \\r as \\n, so a document returned here
+    is the one the whole text decodes to."""
+    head, key, start = bytearray(), -1, 0
     while not start:
         block = fh.read(_SLICE_CHARS)
         if not block:
             return None
+        seen = len(head)
         head += block
-        key = head.find(b'"data"')
-        start = head.find(b"[", key) + 1 if key >= 0 else 0
+        if key < 0:  # '"data"' may span the last block's end
+            key = head.find(b'"data"', max(seen - 5, 0))
+        start = head.find(b"[", max(key, seen)) + 1 if key >= 0 else 0
     block = head[start:] or fh.read(_SLICE_CHARS)
-    head, rejected = head[: start - 1], False
-    with contextlib.suppress(ValueError, RecursionError):  # a text ending in "}" is an object
-        first = json.loads(head.decode("utf-8") + "%d}" % _SENTINEL)
-        rejected = {"n_qubits", "kind"} <= first.keys()
-        _state_header(first)
-        rejected = False
+    del head[start - 1 :]
     pairs, filled, carry, decode = np.empty((0, 2)), 0, b"", json.JSONDecoder().raw_decode
     while True:
         buf = carry + block
@@ -497,10 +488,10 @@ def _stream_document(fh):
             except (ValueError, RecursionError):
                 return None
             rows = _float_array(rows)  # frees the lists
-            if rows is None or rows.shape[1:] != (2,) or filled + len(rows) > 4**MAX_QUBITS:
+            if rows is None or rows.shape[1:] != (2,):
                 return None
-            if not rejected:
-                filled += len(rows)
+            filled += len(rows)
+            if filled <= 4**MAX_QUBITS:
                 if filled > len(pairs):
                     pairs.resize((1 << (filled - 1).bit_length(), 2), refcheck=False)
                 pairs[filled - len(rows) : filled] = rows
@@ -512,18 +503,16 @@ def _stream_document(fh):
         carry = buf[stop + 1 :] if stop else buf
         block = fh.read(_SLICE_CHARS)
     try:
-        rest = (head + b"%d" % _SENTINEL + buf[at - 1 :] + fh.read()).decode("utf-8")
+        rest = (head + _SENTINEL.encode() + buf[at - 1 :] + fh.read()).decode("utf-8")
         del block, buf, carry  # a long tail decodes without the last block beside it
         doc = json.loads(rest)
     except (ValueError, RecursionError):
         return None
-    data = doc.get("data") if isinstance(doc, dict) else None
-    if type(data) is not int or data != _SENTINEL or rest.count(str(_SENTINEL)) != 1:
+    if not isinstance(doc, dict) or doc.get("data") != "\x00" or rest.count(_SENTINEL) != 1:
         return None
-    with contextlib.suppress(ValueError):  # state_from_json rejects this header before "data"
-        if not filled == len(pairs) == _state_header(doc)[2]:
-            return None
-        doc["data"] = pairs.view(_OwnedMatrix)
+    if filled > 4**MAX_QUBITS:  # only the count is read: state_from_json rejects it
+        pairs = np.broadcast_to(np.zeros(2), (filled, 2))
+    doc["data"] = pairs[:filled].view(_OwnedMatrix)
     return doc
 
 

@@ -26,11 +26,13 @@ NUMBERS = ["0", "1", "-1", "0.0", "1.0", "-0.0", "0.5", "2E-1", "NaN", "Infinity
 ZEROS = ["0", "0.0", "-0.0"]
 TEXT_SEPARATORS = [{}, {"indent": 2}, {"separators": (",", ":")}]
 GOOD = {"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]}
-# "data" in a nested object and in a string, "]," in a string, the sentinel
+# "data" in a nested object and in a string, "]," in a string, a negative
+# number, the sentinel
 EXTRA_FIELDS = {
     "meta": {"data": [[1, 0], [0, 0]]},
     "note": '"data": [[0, 1]], "x": "],["',
     "tol": -1,
+    "nul": "\x00",
 }
 
 
@@ -116,7 +118,11 @@ def workdir(tmp_path_factory):
 @example(json.dumps(GOOD), 1)
 @example(json.dumps(GOOD, indent=2), 4)
 @example(json.dumps({**GOOD, "data": [[-0.0, 0.0], [1e-300, 0]]}), 1)
-# the sentinel that stands in for the data array appears elsewhere
+# the sentinel that stands in for the data array, or the -1 it once was,
+# appears elsewhere
+@example('{"data": "\\u0000", "n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]}', 2)
+@example('{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]], "data": "\\u0000"}', 2)
+@example('{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]], "nul": "\\u0000"}', 2)
 @example('{"data": -1, "n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]]}', 2)
 @example('{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]], "data": -1}', 2)
 @example('{"n_qubits": 1, "kind": "pure", "data": [[1, 0], [0, 0]], "tol": -1}', 2)
