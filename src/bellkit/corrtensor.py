@@ -78,8 +78,14 @@ class LocalFrame:
 
 
 def xy_frame(n_parties: int) -> LocalFrame:
-    """The standard frame with axes x, y for every party."""
-    ax = np.zeros((_check_count(n_parties, "n_parties", 1, MAX_QUBITS), 2, 3))
+    """The standard frame with axes x, y for every party; one shared
+    LocalFrame per count, which is frozen with read-only axes."""
+    return _xy_frame(_check_count(n_parties, "n_parties", 1, MAX_QUBITS))
+
+
+@functools.cache
+def _xy_frame(n: int) -> LocalFrame:
+    ax = np.zeros((n, 2, 3))
     ax[:, 0, 0] = 1.0
     ax[:, 1, 1] = 1.0
     return LocalFrame(ax)
@@ -146,12 +152,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult^j mod 2^32 for j = first .. first + count - 1, shape (count, 1)."""
-    return np.array(
+    """init * mult^j mod 2^32 for j = first .. first + count - 1, shape
+    (count, 1), read-only: built once per offset."""
+    consts = np.array(
         [init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(first, first + count)],
         dtype=np.uint32,
     )[:, None]
+    consts.setflags(write=False)
+    return consts
 
 
 _OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
@@ -214,15 +224,8 @@ def _random_starts(n: int, seed: int, restarts: int, d: int = 3) -> np.ndarray:
     for r in range(restarts):
         gen = np.random.Generator(np.random.PCG64(fixed_seed(words[r])))
         raw[r] = gen.normal(size=raw.shape[1:])
-    return raw / np.linalg.norm(raw, axis=2, keepdims=True)
-
-
-def _contract(out: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Contract the leading party axes of out (R, ...) in order with the
-    rows of vecs (R, M, d): axis 1 + m meets vecs[:, m]."""
-    for m in range(vecs.shape[1]):
-        out = np.einsum("ri...,ri->r...", out, vecs[:, m, :])
-    return out
+    # np.linalg.norm's sum, without its argument handling
+    return raw / np.sqrt(np.add.reduce(raw * raw, axis=2, keepdims=True))
 
 
 def _party_vectors(w: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -250,28 +253,35 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     only contracts parties k+1..N-1, and after the last party ``pre`` is
     the (R,) values.  Every element is the same chain of contractions in
     party order as contracting from scratch, so the results are bitwise
-    the same.
+    the same.  Each contraction is one einsum with a party's column view
+    ``u[:, m]``; the views are built once and follow the updates of u.
     """
     dirs = starts
     n, d = dirs.shape[1:]
     u = _party_vectors(w, dirs)  # kept in step with dirs below
+    cols = [u[:, m] for m in range(n)]
     full = np.broadcast_to(w, (dirs.shape[0],) + w.shape)
     # pre has 1 + N - k axes at party k; this moves its axis 1 last
     last = [(0, *range(2, n + 1 - k), 1) for k in range(n)]
-    values = _contract(full, u)
+    values = full
+    for col in cols:
+        values = np.einsum("ri...,ri->r...", values, col)
     for _ in range(DEFAULT_MAX_SWEEPS):
         pre = full
         for k in range(n):
-            # the constant component of (1, b_k) does not move
-            grad = _contract(pre.transpose(last[k]), u[:, k + 1 :])[:, -d:]
+            grad = pre.transpose(last[k])
+            for col in cols[k + 1 :]:
+                grad = np.einsum("ri...,ri->r...", grad, col)
+            grad = grad[:, -d:]  # the constant component of (1, b_k) does not move
             norms = np.sqrt(np.add.reduce(grad * grad, axis=1))  # np.linalg.norm's sum
-            ok = norms > 1e-300
-            if ok.all():
-                dirs[:, k] = grad / norms[:, None]
+            if norms.min() > 1e-300:  # false on a NaN norm too
+                np.divide(grad, norms[:, None], out=dirs[:, k])
             else:
+                ok = norms > 1e-300
                 dirs[ok, k, :] = grad[ok] / norms[ok, None]
-            u[:, k, -d:] = dirs[:, k]
-            pre = np.einsum("ri...,ri->r...", pre, u[:, k])
+            if u is not dirs:
+                u[:, k, -d:] = dirs[:, k]
+            pre = np.einsum("ri...,ri->r...", pre, cols[k])
         converged = np.abs(pre - values) < DEFAULT_TOL
         values = pre
         if converged.all():

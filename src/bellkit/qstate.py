@@ -251,9 +251,17 @@ def _per_party(arr: np.ndarray, mats) -> np.ndarray:
     are back in party order.  With arr as the first operand the result is
     C-contiguous in that order; sums over it run in memory order, so their
     bits depend on it.
+
+    Each step is the transpose, reshape and np.dot that np.tensordot runs,
+    without its argument handling; np.asarray drops subclasses as it does.
     """
     for m in mats:
-        arr = np.tensordot(arr, m, axes=([0], [m.ndim - 1]))
+        arr, m = np.asarray(arr), np.asarray(m)
+        shape = arr.shape[1:] + m.shape[:-1]
+        arr = np.dot(
+            arr.transpose((*range(1, arr.ndim), 0)).reshape(-1, arr.shape[0]),
+            m.transpose((m.ndim - 1, *range(m.ndim - 1))).reshape(m.shape[-1], -1),
+        ).reshape(shape)
     return arr
 
 

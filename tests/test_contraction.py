@@ -49,6 +49,42 @@ def test_per_party_keeps_party_order():
     assert np.allclose(out, np.einsum("abc,xa,b,yzc->xyz", arr, *mats))
 
 
+def tensordot_loop(arr, mats):
+    """_per_party as one np.tensordot per party."""
+    for m in mats:
+        arr = np.tensordot(arr, m, axes=([0], [m.ndim - 1]))
+    return arr
+
+
+def per_party_cases():
+    """(arr, mats): complex Pauli pairs, real frame axes, integer strategy
+    tables, and a non-contiguous input."""
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 5):
+        rho = random_density(n, rng)
+        yield qs._pair_axes(rho.matrix, n), [qs._PAULI_PAIRS] * n
+        t = ct.compute_tensor(rho)
+        yield t.proper, ct.LocalFrame(np.stack([random_rotation(rng)[:2] for _ in range(n)])).axes
+        task = cc.make_mod4_task(n + 1)
+        yield task.g, [cc._HALF_STRATEGIES.astype(int)] * (n + 1)
+        yield task.g, cc.classical_optimum(task).signs  # int rows: one sign table per party
+    arr = rng.normal(size=(6, 4, 5, 3))[::2, :, 1:, ::-1]
+    assert not arr.flags.c_contiguous and not arr.flags.f_contiguous
+    yield arr, [rng.normal(size=(2, 3)), rng.normal(size=(4,)), rng.normal(size=(7, 2, 4))]
+
+
+@pytest.mark.parametrize("arr, mats", list(per_party_cases()))
+def test_per_party_matches_tensordot(arr, mats):
+    assert same_bytes(qs._per_party(arr, mats), tensordot_loop(arr, mats))
+
+
+def test_per_party_returns_a_plain_array():
+    pairs = np.array([[0.5, 0.0], [0.5, 0.0]]).view(qs._OwnedMatrix)
+    out = qs._per_party(pairs, [np.eye(2)])
+    assert type(out) is np.ndarray
+    assert same_bytes(out, tensordot_loop(pairs, [np.eye(2)]))
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), 10])
 def test_compute_tensor(n):
     rho = random_density(n, np.random.default_rng(100 + n))

@@ -390,6 +390,33 @@ class TestAscentMatchesReference:
         assert np.array_equal(new.directions, ref.directions)
         assert new.converged == ref.converged
 
+    @pytest.mark.parametrize(
+        "dim, form",
+        [(4, "some_vanish"), (3, "all_zero"), (4, "all_zero"), (3, "nan"), (4, "nan")],
+    )
+    def test_masked_normalization_bitwise_equal(self, dim, form):
+        # a zero (or NaN) gradient norm takes the masked branch, which keeps
+        # the direction of every restart whose gradient it cannot normalize;
+        # the test above is the (3, "some_vanish") case
+        w = np.zeros((dim,) * 3)
+        starts = ct._random_starts(3, 0, 4)
+        if form == "some_vanish":  # a x e_z x c in the proper block, as above
+            rng = np.random.default_rng(4100)
+            a, c = rng.normal(size=(2, 3))
+            w[1:, 1:, 1:] = np.einsum("i,j,k->ijk", a, np.eye(3)[2], c)
+            w[0] = rng.normal(size=(4, 4))  # only in party 1's dropped constant slot
+            starts[1, 1] = np.eye(3)[0]
+            grad = reference_contract(w, ct._party_vectors(w, starts), free=0)[:, 1:]
+            norms = np.linalg.norm(grad, axis=1)
+            assert norms[1] == 0.0 and np.all(np.delete(norms, 1) > 0.0)
+        elif form == "nan":
+            w[(1,) * 3] = np.nan
+        ref = reference_ascend(w, starts.copy())
+        new = ct._ascend(w, starts)
+        assert np.array_equal(new.value, ref.value, equal_nan=True)
+        assert np.array_equal(new.directions, ref.directions, equal_nan=True)
+        assert new.converged == ref.converged
+
     def test_max_product_value_on_states(self):
         rng = np.random.default_rng(65)
         for n in (2, 3, 4):

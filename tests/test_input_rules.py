@@ -250,3 +250,30 @@ def test_constructor_keeps_its_own_copy(build, given, held):
         assert arr.flags.writeable and not own.flags.writeable
         arr.reshape(-1)[0] = 0
     assert all(np.array_equal(a, b) for a, b in zip(kept, before))
+
+
+def test_xy_frame_is_built_once_per_count():
+    frame = ct.xy_frame(3)
+    assert ct.xy_frame(np.int64(3)) is frame
+    with pytest.raises(ValueError, match="read-only"):
+        frame.axes[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ([3], "n_parties must be an integer"),
+        (3.0, "n_parties must be an integer"),
+        (True, "n_parties must be an integer"),
+        (0, "n_parties must be in [1, 10], got 0"),
+        (11, "n_parties must be in [1, 10], got 11"),
+    ],
+    ids=repr,
+)
+def test_xy_frame_checks_its_count_before_its_cache(count, message):
+    # True == np.int64(1) and 3.0 == np.int64(3), with equal hashes: a cache
+    # keyed on the raw count would hand back the frames built for those
+    for n in (1, np.int64(1), np.int64(3)):
+        ct.xy_frame(n)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ct.xy_frame(count)
