@@ -199,16 +199,16 @@ def _spawn_words(seed, restarts: int) -> np.ndarray:
 
 @functools.cache
 def _fixed_seed_type() -> type:
-    """An ISeedSequence that hands PCG64 given words; numpy.random is
-    imported here, on first use, not with bellkit."""
+    """An ISeedSequence that hands each PCG64 the next row of given words;
+    numpy.random is imported here, on first use, not with bellkit."""
     from numpy.random.bit_generator import ISeedSequence
 
     class FixedSeed(ISeedSequence):
         def __init__(self, words: np.ndarray):
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            return next(self.rows)
 
     return FixedSeed
 
@@ -218,12 +218,10 @@ def _random_starts(n: int, seed: int, restarts: int, d: int = 3) -> np.ndarray:
     its own (seed, r) stream: a PCG64 seeded bit for bit as by
     SeedSequence(entropy=seed, spawn_key=(r,)), from _spawn_words.  With
     seed=None the restarts share one fresh entropy: not reproducible."""
-    words = _spawn_words(seed, restarts)
-    fixed_seed = _fixed_seed_type()
+    fixed_seed = _fixed_seed_type()(_spawn_words(seed, restarts))
     raw = np.empty((restarts, n, d))
-    for r in range(restarts):
-        gen = np.random.Generator(np.random.PCG64(fixed_seed(words[r])))
-        raw[r] = gen.normal(size=raw.shape[1:])
+    for row in raw:
+        row[...] = np.random.Generator(np.random.PCG64(fixed_seed)).normal(size=row.shape)
     # np.linalg.norm's sum, without its argument handling
     return raw / np.sqrt(np.add.reduce(raw * raw, axis=2, keepdims=True))
 
@@ -246,7 +244,8 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     contracted with the b_k themselves, or (d + 1,)*N, contracted with
     (1, b_k).  The form is linear in each b_k, so the best b_k given the
     others is the normalized gradient: every step is exact and monotone.
-    ``starts`` is updated in place; the best row is returned.
+    The rows are updated in place, in ``starts`` itself on (d,)*N forms and
+    in the (1, b_k) copy on (d + 1,)*N forms; the best row is returned.
 
     A sweep shares the contractions with the parties already updated:
     ``pre`` holds w contracted with parties 0..k-1, so party k's gradient
@@ -256,31 +255,31 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     the same.  Each contraction is one einsum with a party's column view
     ``u[:, m]``; the views are built once and follow the updates of u.
     """
-    dirs = starts
-    n, d = dirs.shape[1:]
-    u = _party_vectors(w, dirs)  # kept in step with dirs below
-    cols = [u[:, m] for m in range(n)]
-    full = np.broadcast_to(w, (dirs.shape[0],) + w.shape)
+    n, d = starts.shape[1:]
+    u = _party_vectors(w, starts)
+    # views u[:, m], and the b_k in them: each step writes b_k into u
+    cols, outs = list(u.swapaxes(0, 1)), list(u[:, :, -d:].swapaxes(0, 1))
+    full = np.broadcast_to(w, (u.shape[0],) + w.shape)
     # pre has 1 + N - k axes at party k; this moves its axis 1 last
     last = [(0, *range(2, n + 1 - k), 1) for k in range(n)]
-    values = full
-    for col in cols:
-        values = np.einsum("ri...,ri->r...", values, col)
+    # NaN, not the form at the starts: the first sweep never counts as converged.
+    # Only rows at an exact fixed point (an all-zero form) would have, and there
+    # a second sweep gives the same bits.
+    values = np.full(u.shape[0], np.nan)
     for _ in range(DEFAULT_MAX_SWEEPS):
         pre = full
         for k in range(n):
             grad = pre.transpose(last[k])
             for col in cols[k + 1 :]:
                 grad = np.einsum("ri...,ri->r...", grad, col)
-            grad = grad[:, -d:]  # the constant component of (1, b_k) does not move
-            norms = np.sqrt(np.add.reduce(grad * grad, axis=1))  # np.linalg.norm's sum
-            if norms.min() > 1e-300:  # false on a NaN norm too
-                np.divide(grad, norms[:, None], out=dirs[:, k])
+            if u is not starts:
+                grad = grad[:, 1:]  # the constant component of (1, b_k) does not move
+            norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
+            if np.minimum.reduce(norms, axis=None) > 1e-300:  # false on a NaN norm too
+                np.divide(grad, norms, out=outs[k])
             else:
-                ok = norms > 1e-300
-                dirs[ok, k, :] = grad[ok] / norms[ok, None]
-            if u is not dirs:
-                u[:, k, -d:] = dirs[:, k]
+                ok = norms[:, 0] > 1e-300
+                outs[k][ok] = grad[ok] / norms[ok]
             pre = np.einsum("ri...,ri->r...", pre, cols[k])
         converged = np.abs(pre - values) < DEFAULT_TOL
         values = pre
@@ -289,7 +288,7 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     best = int(np.argmax(values))
     return MaxProductResult(
         value=float(values[best]),
-        directions=dirs[best].copy(),
+        directions=u[best, :, -d:].copy(),
         converged=bool(converged[best]),
     )
 

@@ -443,6 +443,65 @@ class TestAscentMatchesReference:
         assert new == [repr(bc.rotational_test(t, frame, seed)) for t, seed in cases]
 
 
+def assert_same_ascent(w, starts):
+    ref = reference_ascend(w, starts.copy())
+    new = ct._ascend(w, starts)
+    assert new.value == ref.value
+    assert np.array_equal(new.directions, ref.directions)
+    assert new.converged == ref.converged
+
+
+class TestFirstSweep:
+    """_ascend does not evaluate the form at its starts: its values begin as
+    NaN, so the first sweep never counts as converged.  On forms where every
+    row's first sweep ends at an exact fixed point, the second sweep it then
+    runs gives the reference's bits (the all-zero (3,)*3 and (4,)*3 forms are
+    cases of test_masked_normalization_bitwise_equal)."""
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_one_party_form(self, dim, seed):
+        # the gradient does not depend on the start: one sweep reaches w / |w|
+        w = np.random.default_rng(4200 + dim).normal(size=(dim,))
+        assert_same_ascent(w, ct._random_starts(1, seed, ct.DEFAULT_RESTARTS))
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    def test_rank_one_product_form(self, dim):
+        a, b, c = np.random.default_rng(4300 + dim).normal(size=(3, dim))
+        w = np.einsum("i,j,k->ijk", a, b, c)
+        assert_same_ascent(w, ct._random_starts(3, 5, ct.DEFAULT_RESTARTS))
+
+    def test_all_zero_metric_report(self, monkeypatch):
+        def reference_ascents(forms, seed):
+            n = forms[0].ndim
+            starts = reference_random_starts(n, seed, ct.DEFAULT_RESTARTS)
+            return [reference_ascend(w, starts.copy()) for w in forms]
+
+        rho, metric = qs.make_noisy_ghz(3, 0.5), st.DiagonalMetric(3, np.zeros(64))
+        rep = st.identifier_check(rho, metric, seed=0)
+        assert (rep.rhs, rep.lhs_max, rep.detected, rep.converged) == (0.0, 0.0, False, True)
+        monkeypatch.setattr(st, "_ascents", reference_ascents)
+        assert repr(rep) == repr(st.identifier_check(rho, metric, seed=0))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_einsum_calls_per_ascent(self, n, monkeypatch):
+        # the in-plane GHZ form converges in two sweeps of n(n + 1) / 2
+        # contractions each, and nothing is contracted at the starts
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        w = ct.frame_components(ct.compute_tensor(qs.make_noisy_ghz(n, 0.5)), ct.xy_frame(n))
+        starts = ct._random_starts(n, 0, ct.DEFAULT_RESTARTS, 2)
+        monkeypatch.setattr(np, "einsum", counting)
+        res = ct._ascend(w, starts)
+        assert res.converged
+        assert len(calls) == n * (n + 1)
+
+
 NUMPY_INTS = (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64)
 
 # every seed form SeedSequence takes as entropy
@@ -479,6 +538,28 @@ class TestRestartStreams:
         assert np.array_equal(starts, reference_random_starts(n, seed, 9))
         xy = reference_random_starts(n, seed, 9, ct.xy_frame(n))
         assert np.array_equal(ct._random_starts(n, seed, 9, 2), xy[:, :, :2])
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**70, [3, 2**40, 0]])
+    @pytest.mark.parametrize("restarts", (1, ct.DEFAULT_RESTARTS))
+    def test_starts_from_one_seed_object(self, seed, restarts, monkeypatch):
+        # one seed object hands each restart's PCG64 its row of words
+        fixed_seed = ct._fixed_seed_type()
+        handed = []
+        generate_state = fixed_seed.generate_state
+
+        def counting(self, n_words, dtype=np.uint32):
+            handed.append(self)
+            return generate_state(self, n_words, dtype)
+
+        monkeypatch.setattr(fixed_seed, "generate_state", counting)
+        for n in range(1, qs.MAX_QUBITS + 1):
+            ref = reference_random_starts(n, seed, restarts)
+            xy = reference_random_starts(n, seed, restarts, ct.xy_frame(n))
+            for d, expected in ((3, ref), (2, xy[:, :, :2])):
+                handed.clear()
+                starts = ct._random_starts(n, seed, restarts, d)
+                assert len(handed) == restarts and len(set(map(id, handed))) == 1
+                assert np.array_equal(starts, expected)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_bad_seed_errors_unchanged(self, seed):
