@@ -152,19 +152,26 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-@functools.cache
 def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult^j mod 2^32 for j = first .. first + count - 1, shape
-    (count, 1), read-only: built once per offset."""
-    consts = np.array(
+    """init * mult^j mod 2^32 for j = first .. first + count - 1, shape (count, 1)."""
+    return np.array(
         [init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(first, first + count)],
         dtype=np.uint32,
     )[:, None]
-    consts.setflags(write=False)
-    return consts
 
 
 _OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+
+
+@functools.cache
+def _key_mix(first: int, restarts: int) -> np.ndarray:
+    """The spawn keys 0 .. restarts - 1 hashed, times _MIX_R: (4, restarts), read-only."""
+    mix = _hash_consts(_INIT_A, _MULT_A, first, 5)
+    h = (np.arange(restarts, dtype=np.uint32) ^ mix[:4]) * mix[1:]
+    h ^= h >> 16
+    h *= _MIX_R
+    h.setflags(write=False)
+    return h
 
 
 def _spawn_words(seed, restarts: int) -> np.ndarray:
@@ -185,11 +192,7 @@ def _spawn_words(seed, restarts: int) -> np.ndarray:
 
     ss = np.random.SeedSequence(seed)
     n_words = _coerce_to_uint32_array(ss.entropy).size  # SeedSequence's own coercion
-    r = np.arange(restarts, dtype=np.uint32)
-    mix_consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, n_words - 4), 5)
-    h = (r ^ mix_consts[:4]) * mix_consts[1:]
-    h ^= h >> 16
-    mixed = ss.pool[:, None] * _MIX_L - h * _MIX_R
+    mixed = ss.pool[:, None] * _MIX_L - _key_mix(16 + 4 * max(0, n_words - 4), restarts)
     mixed ^= mixed >> 16
     out = (mixed[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_CONSTS[:8]) * _OUT_CONSTS[1:]
     out ^= out >> 16
@@ -244,8 +247,7 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     contracted with the b_k themselves, or (d + 1,)*N, contracted with
     (1, b_k).  The form is linear in each b_k, so the best b_k given the
     others is the normalized gradient: every step is exact and monotone.
-    The rows are updated in place, in ``starts`` itself on (d,)*N forms and
-    in the (1, b_k) copy on (d + 1,)*N forms; the best row is returned.
+    The rows of ``starts`` are updated in place on (d,)*N forms; the best one is returned.
 
     A sweep shares the contractions with the parties already updated:
     ``pre`` holds w contracted with parties 0..k-1, so party k's gradient
@@ -254,32 +256,31 @@ def _ascend(w: np.ndarray, starts: np.ndarray) -> MaxProductResult:
     party order as contracting from scratch, so the results are bitwise
     the same.  Each contraction is one einsum with a party's column view
     ``u[:, m]``; the views are built once and follow the updates of u.
+    An einsum's bits depend on the layout only where it sums over the inner
+    axis.  Callers' forms have C-ordered axes, so party 0's gradient chain runs
+    on a copy with party 0 next to last: the same sums, over outer axes.
     """
     n, d = starts.shape[1:]
     u = _party_vectors(w, starts)
     # views u[:, m], and the b_k in them: each step writes b_k into u
     cols, outs = list(u.swapaxes(0, 1)), list(u[:, :, -d:].swapaxes(0, 1))
-    full = np.broadcast_to(w, (u.shape[0],) + w.shape)
+    full = w[None]  # einsum broadcasts it over the rows
     # pre has 1 + N - k axes at party k; this moves its axis 1 last
     last = [(0, *range(2, n + 1 - k), 1) for k in range(n)]
-    # NaN, not the form at the starts: the first sweep never counts as converged.
-    # Only rows at an exact fixed point (an all-zero form) would have, and there
-    # a second sweep gives the same bits.
-    values = np.full(u.shape[0], np.nan)
+    grad0 = full.transpose(last[0])
+    if n > 2:  # the same view of a copy of w with party 0 next to last in memory
+        grad0 = np.moveaxis(w, 0, -2).copy().swapaxes(-1, -2)[None]
+    values = functools.reduce(lambda a, col: np.einsum("ri...,ri->r...", a, col), cols, full)
     for _ in range(DEFAULT_MAX_SWEEPS):
         pre = full
         for k in range(n):
-            grad = pre.transpose(last[k])
+            grad = grad0 if k == 0 else pre.transpose(last[k])
             for col in cols[k + 1 :]:
                 grad = np.einsum("ri...,ri->r...", grad, col)
-            if u is not starts:
-                grad = grad[:, 1:]  # the constant component of (1, b_k) does not move
+            grad = grad[:, -d:]  # the constant component of (1, b_k) does not move
             norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
-            if np.minimum.reduce(norms, axis=None) > 1e-300:  # false on a NaN norm too
-                np.divide(grad, norms, out=outs[k])
-            else:
-                ok = norms[:, 0] > 1e-300
-                outs[k][ok] = grad[ok] / norms[ok]
+            ok = True if np.minimum.reduce(norms, axis=None) > 1e-300 else norms > 1e-300
+            np.divide(grad, norms, out=outs[k], where=ok)  # a zero or NaN norm keeps its row
             pre = np.einsum("ri...,ri->r...", pre, cols[k])
         converged = np.abs(pre - values) < DEFAULT_TOL
         values = pre

@@ -185,11 +185,11 @@ def random_separable(n: int, k_terms: int, seed: int) -> DensityMatrix:
     k_terms = _check_count(k_terms, "k_terms", 1)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k_terms))
+    blochs = rng.normal(size=(k_terms, n, 3))  # the terms' draws in turn
+    blochs /= np.sqrt(np.add.reduce(blochs * blochs, axis=2, keepdims=True))  # np.linalg.norm
     mat = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(k_terms):
-        blochs = rng.normal(size=(n, 3))
-        blochs /= np.linalg.norm(blochs, axis=1, keepdims=True)
-        mat += weights[i] * product_matrix(blochs)
+    for weight, term in zip(weights, blochs):
+        mat += weight * product_matrix(term)
     return DensityMatrix(n, mat)
 
 

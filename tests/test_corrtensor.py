@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from ascent_reference import reference_ascend, reference_contract, reference_random_starts
@@ -358,6 +358,25 @@ class TestAscentMatchesReference:
             res = ct.max_product_value(t, frame=frame, seed=seed)
             assert_same_maximum(t, res, reference_max_product_value(t, frame, seed), frame)
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    @pytest.mark.parametrize("dim", (3, 4))
+    @pytest.mark.parametrize("layout", ("contiguous", "real_part", "sliced"))
+    def test_bitwise_equal_on_caller_layouts(self, n, dim, layout):
+        # party 0's gradient runs on a copy of w in another axis order; the
+        # forms callers pass are C-ordered, packed or strided like these
+        rng = np.random.default_rng(5000 + 10 * n + dim)
+        w = rng.normal(size=(dim,) * n)
+        if layout == "real_part":  # the strided real part compute_tensor hands over
+            w = (w + 1j * rng.normal(size=w.shape)).real
+        elif layout == "sliced":  # like CorrelationTensor.proper
+            w = rng.normal(size=(dim + 1,) * n)[(slice(1, None),) * n]
+        starts = ct._random_starts(n, 3, 8)
+        ref = reference_ascend(w, starts.copy())
+        new = ct._ascend(w, starts)
+        assert new.value == ref.value
+        assert np.array_equal(new.directions, ref.directions)
+        assert new.converged == ref.converged
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bitwise_equal_on_plane_forms(self, n):
         rng = np.random.default_rng(3000 + n)
@@ -443,6 +462,20 @@ class TestAscentMatchesReference:
         assert new == [repr(bc.rotational_test(t, frame, seed)) for t, seed in cases]
 
 
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """The subscripts of every np.einsum call made while the test runs."""
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return calls
+
+
 def assert_same_ascent(w, starts):
     ref = reference_ascend(w, starts.copy())
     new = ct._ascend(w, starts)
@@ -451,12 +484,32 @@ def assert_same_ascent(w, starts):
     assert new.converged == ref.converged
 
 
+def one_sweep_forms():
+    # far below the 1e-12 tolerance, or a constant plus such a rest: every
+    # row's value moves by less than the tolerance in the first sweep
+    rng = np.random.default_rng(4400)
+    for shape in [(3,) * 3, (4,) * 3] + [(2,) * n for n in range(2, 7)]:
+        yield pytest.param(1e-14 * rng.normal(size=shape), id=f"tiny-{len(shape)}-{shape[0]}")
+    w = 1e-14 * rng.normal(size=(4,) * 3)
+    w[0, 0, 0] = 1.0
+    yield pytest.param(w, id="constant-plus-tiny")
+
+
 class TestFirstSweep:
-    """_ascend does not evaluate the form at its starts: its values begin as
-    NaN, so the first sweep never counts as converged.  On forms where every
-    row's first sweep ends at an exact fixed point, the second sweep it then
-    runs gives the reference's bits (the all-zero (3,)*3 and (4,)*3 forms are
-    cases of test_masked_normalization_bitwise_equal)."""
+    """The first convergence test compares the first sweep with the form's
+    value at the starts, as the reference does: where every row moves by less
+    than the tolerance, both stop after one sweep, with the same bits."""
+
+    @pytest.mark.parametrize("w", one_sweep_forms())
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_stops_after_one_sweep(self, w, seed, einsum_calls):
+        n, d = w.ndim, min(w.shape[0], 3)
+        starts = ct._random_starts(n, seed, ct.DEFAULT_RESTARTS, d)
+        assert_same_ascent(w, starts.copy())
+        einsum_calls.clear()
+        assert ct._ascend(w, starts).converged
+        # n contractions at the starts, then one sweep of n(n + 1) / 2
+        assert len(einsum_calls) == n + n * (n + 1) // 2
 
     @pytest.mark.parametrize("dim", (3, 4))
     @pytest.mark.parametrize("seed", (0, 7))
@@ -471,6 +524,12 @@ class TestFirstSweep:
         w = np.einsum("i,j,k->ijk", a, b, c)
         assert_same_ascent(w, ct._random_starts(3, 5, ct.DEFAULT_RESTARTS))
 
+    @pytest.mark.parametrize("dim", (2, 3, 4))
+    def test_one_party_zero_form(self, dim):
+        # the (1, d) form is broadcast over the rows: no row moves
+        starts = ct._random_starts(1, 3, ct.DEFAULT_RESTARTS, min(dim, 3))
+        assert_same_ascent(np.zeros(dim), starts)
+
     def test_all_zero_metric_report(self, monkeypatch):
         def reference_ascents(forms, seed):
             n = forms[0].ndim
@@ -484,22 +543,14 @@ class TestFirstSweep:
         assert repr(rep) == repr(st.identifier_check(rho, metric, seed=0))
 
     @pytest.mark.parametrize("n", range(3, 7))
-    def test_einsum_calls_per_ascent(self, n, monkeypatch):
+    def test_einsum_calls_per_ascent(self, n, einsum_calls):
         # the in-plane GHZ form converges in two sweeps of n(n + 1) / 2
-        # contractions each, and nothing is contracted at the starts
-        calls = []
-        einsum = np.einsum
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return einsum(*args, **kwargs)
-
+        # contractions each, after n contractions at the starts
         w = ct.frame_components(ct.compute_tensor(qs.make_noisy_ghz(n, 0.5)), ct.xy_frame(n))
         starts = ct._random_starts(n, 0, ct.DEFAULT_RESTARTS, 2)
-        monkeypatch.setattr(np, "einsum", counting)
-        res = ct._ascend(w, starts)
-        assert res.converged
-        assert len(calls) == n * (n + 1)
+        einsum_calls.clear()
+        assert ct._ascend(w, starts).converged
+        assert len(einsum_calls) == n + n * (n + 1)
 
 
 NUMPY_INTS = (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16, np.int32, np.int64)
@@ -532,34 +583,20 @@ class TestRestartStreams:
             assert np.array_equal(words[r], numpy_words(seed, r))
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, n=hs.integers(1, 4))
-    def test_starts_match_reference(self, seed, n):
-        starts = ct._random_starts(n, seed, 9)
-        assert np.array_equal(starts, reference_random_starts(n, seed, 9))
-        xy = reference_random_starts(n, seed, 9, ct.xy_frame(n))
-        assert np.array_equal(ct._random_starts(n, seed, 9, 2), xy[:, :, :2])
-
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**70, [3, 2**40, 0]])
-    @pytest.mark.parametrize("restarts", (1, ct.DEFAULT_RESTARTS))
-    def test_starts_from_one_seed_object(self, seed, restarts, monkeypatch):
-        # one seed object hands each restart's PCG64 its row of words
-        fixed_seed = ct._fixed_seed_type()
-        handed = []
-        generate_state = fixed_seed.generate_state
-
-        def counting(self, n_words, dtype=np.uint32):
-            handed.append(self)
-            return generate_state(self, n_words, dtype)
-
-        monkeypatch.setattr(fixed_seed, "generate_state", counting)
-        for n in range(1, qs.MAX_QUBITS + 1):
-            ref = reference_random_starts(n, seed, restarts)
-            xy = reference_random_starts(n, seed, restarts, ct.xy_frame(n))
-            for d, expected in ((3, ref), (2, xy[:, :, :2])):
-                handed.clear()
-                starts = ct._random_starts(n, seed, restarts, d)
-                assert len(handed) == restarts and len(set(map(id, handed))) == 1
-                assert np.array_equal(starts, expected)
+    @given(
+        seed=seeds,
+        n=hs.integers(1, qs.MAX_QUBITS),
+        restarts=hs.sampled_from((1, 9, ct.DEFAULT_RESTARTS)),
+    )
+    @example(seed=0, n=1, restarts=1)
+    @example(seed=2**32 - 1, n=qs.MAX_QUBITS, restarts=ct.DEFAULT_RESTARTS)
+    @example(seed=2**70, n=qs.MAX_QUBITS, restarts=1)
+    @example(seed=[3, 2**40, 0], n=1, restarts=ct.DEFAULT_RESTARTS)
+    def test_starts_match_reference(self, seed, n, restarts):
+        starts = ct._random_starts(n, seed, restarts)
+        assert np.array_equal(starts, reference_random_starts(n, seed, restarts))
+        xy = reference_random_starts(n, seed, restarts, ct.xy_frame(n))
+        assert np.array_equal(ct._random_starts(n, seed, restarts, 2), xy[:, :, :2])
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_bad_seed_errors_unchanged(self, seed):
